@@ -24,12 +24,8 @@ from .asymptotics import (
     verify_diagonal_beta_identity,
 )
 from .combinatorics import (
-    ExactRational,
-    TriangleKind,
-    TriangleTable,
     binomial,
     eulerian_second_order,
-    expand_rising_to_powers,
     falling_factorial,
     finite_difference,
     rising_factorial,
@@ -44,19 +40,15 @@ from .moments import (
     SensorMoment,
     SizeGuardError,
     anchor,
-    folded_part_via_incomplete_beta,
-    folded_split_via_incomplete_beta,
     per_sensor_moment_exact,
     total_moment_exact,
     total_moment_float,
 )
-from .simulation import SimulationConfig, SimulationResult, estimate, run_trial
+from .simulation import SimulationConfig, SimulationResult, estimate
 from .special_functions import (
     HalfIntValue,
-    IncompleteBetaQuery,
     beta_exact,
     gamma_half_int,
-    incomplete_beta_float,
     incomplete_beta_regularized_exact,
     incomplete_beta_step_down,
     stirling_bounds,

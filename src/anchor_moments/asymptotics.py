@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln as _gammaln
@@ -118,11 +117,6 @@ def vanishing_signed_sum(n: int, a: int) -> Fraction:
     return total
 
 
-@lru_cache(maxsize=4096)
-def _left_tail_regularized(n: int, i: int) -> Fraction:
-    return incomplete_beta_regularized_exact(Fraction(2 * i - 1, 2 * n), i, n - i + 1)
-
-
 def vanishing_tail_correction_sum(n: int, a: int) -> Fraction:
     """Diagnostic sum 2 (odd a): reduced-coefficient left-tail total, exact.
 
@@ -148,7 +142,8 @@ def vanishing_tail_correction_sum(n: int, a: int) -> Fraction:
                     * rising_factorial(i, j) * rising_factorial(n + j + 1, a - j)
                     * 2 ** j)
             acc = acc + term if j % 2 == 0 else acc - term
-        total += Fraction(acc, 2**a * denom) * _left_tail_regularized(n, i)
+        reg = incomplete_beta_regularized_exact(Fraction(2 * i - 1, 2 * n), i, n - i + 1)
+        total += Fraction(acc, 2**a * denom) * reg
     return total
 
 

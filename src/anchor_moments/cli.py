@@ -36,6 +36,11 @@ from .simulation import SimulationConfig, estimate
 _USAGE_ERROR = 2
 _GUARD_ERROR = 3
 
+# Exact per-sensor values pass Python's default 4300-digit limit on str(int)
+# from about n = 1250; p/q output prints every digit.
+if hasattr(sys, "set_int_max_str_digits"):
+    sys.set_int_max_str_digits(0)
+
 
 @dataclass
 class OutputRecord:

@@ -13,15 +13,10 @@ are applied at call sites when converting falling factorials to powers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Callable, Union
 
 __all__ = [
-    "ExactRational",
-    "TriangleKind",
-    "TriangleTable",
     "binomial",
     "rising_factorial",
     "falling_factorial",
@@ -29,12 +24,7 @@ __all__ = [
     "stirling_subset",
     "eulerian_second_order",
     "finite_difference",
-    "expand_rising_to_powers",
 ]
-
-# Exact scalar used throughout the package (arbitrary-precision rational,
-# stored in lowest terms with positive denominator, exact +,-,*,/).
-ExactRational = Fraction
 
 Rational = Union[int, Fraction]
 
@@ -134,47 +124,6 @@ def eulerian_second_order(n: int, k: int) -> int:
     return _lookup(_euler2_rows, _euler2_cell, n, k)
 
 
-class TriangleKind(Enum):
-    STIRLING_CYCLE = "stirling_cycle"
-    STIRLING_SUBSET = "stirling_subset"
-    EULERIAN_SECOND_ORDER = "eulerian_second_order"
-
-
-_KIND_FN = {
-    TriangleKind.STIRLING_CYCLE: stirling_cycle,
-    TriangleKind.STIRLING_SUBSET: stirling_subset,
-    TriangleKind.EULERIAN_SECOND_ORDER: eulerian_second_order,
-}
-
-
-@dataclass(frozen=True)
-class TriangleTable:
-    """Dense lower-triangular table of one combinatorial triangle.
-
-    entries[n][k] is defined for 0 <= k <= n <= max_row; value() returns 0
-    outside the triangle.
-    """
-
-    kind: TriangleKind
-    max_row: int
-    entries: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def build(cls, kind: TriangleKind, max_row: int) -> "TriangleTable":
-        if max_row < 0:
-            raise ValueError("max_row must be >= 0")
-        fn = _KIND_FN[kind]
-        rows = tuple(tuple(fn(n, k) for k in range(n + 1)) for n in range(max_row + 1))
-        return cls(kind=kind, max_row=max_row, entries=rows)
-
-    def value(self, n: int, k: int) -> int:
-        if n < 0 or n > self.max_row:
-            raise ValueError(f"row {n} outside table (max_row={self.max_row})")
-        if k < 0 or k > n:
-            return 0
-        return self.entries[n][k]
-
-
 def finite_difference(a: int, f: Callable[[int], Rational]) -> Rational:
     """Alternating binomial difference sum(j=0..a) C(a,j)(-1)^j f(j).
 
@@ -187,10 +136,3 @@ def finite_difference(a: int, f: Callable[[int], Rational]) -> Rational:
         term = math.comb(a, j) * f(j)
         out = out + term if j % 2 == 0 else out - term
     return out
-
-
-def expand_rising_to_powers(m: int) -> list[int]:
-    """Coefficients c_l with x(x+1)...(x+m-1) = sum c_l x^l, l = 0..m."""
-    if m < 0:
-        raise ValueError("expand_rising_to_powers requires m >= 0")
-    return [stirling_cycle(m, l) for l in range(m + 1)]

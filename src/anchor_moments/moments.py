@@ -3,9 +3,17 @@
 The i-th smallest of n uniform points is Beta(i, n-i+1) distributed; moving it
 to the anchor t_i = (2i-1)/(2n) costs |X_i - t_i|^a.  The per-sensor
 expectation splits at t_i into a signed integral over [0,1] plus a doubled
-left-tail integral (for odd a), each of which reduces to Beta and regularized
-incomplete Beta values with integer parameters and rational z = t_i, so the
-whole computation is exact.
+left-tail integral (for odd a).  Both reduce to Beta values and regularized
+incomplete Beta values I(t_i; i+j, n-i+1), j = 0..a, with integer parameters
+and rational z = t_i, so the whole computation is exact.
+
+The exact route evaluates one incomplete Beta per sensor, I(t_i; i, n-i+1),
+and reaches every j by the parameter recurrence
+I(z; c+1, d) = I(z; c, d) - C(c+d-1, c) z^c (1-z)^d.  By reflection,
+X_(n+1-i) has the law of 1 - X_i and t_(n+1-i) = 1 - t_i, so E_i = E_(n+1-i)
+and, for odd a, the signed part changes sign.  total_moment_exact computes
+only the sensors i > n/2, whose incomplete Beta has at most ceil(n/2) terms,
+and mirrors the rest.
 
 Two float paths cover large n.  Up to the exact-size guard a cancellation-free
 positive series is used (binomial expansion around the anchor on each side of
@@ -24,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import betainc as _betainc
@@ -43,8 +50,6 @@ __all__ = [
     "per_sensor_moment_exact",
     "total_moment_exact",
     "total_moment_float",
-    "folded_part_via_incomplete_beta",
-    "folded_split_via_incomplete_beta",
 ]
 
 # Rational bit length grows roughly like n log n; beyond this the float path
@@ -114,11 +119,6 @@ def anchor(i: int, n: int) -> Fraction:
     return Fraction(2 * i - 1, 2 * n)
 
 
-@lru_cache(maxsize=65536)
-def _ibeta_exact_cached(z: Fraction, c: int, d: int) -> Fraction:
-    return incomplete_beta_regularized_exact(z, c, d)
-
-
 def per_sensor_moment_exact(q: MomentQuery, i: int) -> SensorMoment:
     """Exact E|X_i - t_i|^a with its signed/folded decomposition.
 
@@ -126,72 +126,56 @@ def per_sensor_moment_exact(q: MomentQuery, i: int) -> SensorMoment:
     part adds twice the left-tail integral of (t_i - x)^a, which restores the
     absolute value because (t_i - x)^a = -(x - t_i)^a left of the anchor.
     For even a the signed integral already is the absolute moment and the
-    folded part is zero.
+    folded part is zero.  The left-tail weights I(t_i; i+j, n-i+1) come from
+    one incomplete Beta at j = 0, stepped up one j at a time.
     """
     n, a = q.n, q.a
+    d = n - i + 1
     t = anchor(i, n)
     prefactor = i * math.comb(n, i)
     signed = Fraction(0)
     folded = Fraction(0)
+    if q.odd:
+        reg = incomplete_beta_regularized_exact(t, i, d)
+        power = t ** (i - 1) * (1 - t) ** d
     for j in range(a + 1):
-        bv = beta_exact(i + j, n - i + 1).rational
+        bv = beta_exact(i + j, d).rational
         signed += math.comb(a, j) * (-t) ** (a - j) * bv
         if q.odd:
-            reg = _ibeta_exact_cached(t, i + j, n - i + 1)
+            if j:
+                # I(t; i+j, d) = I(t; i+j-1, d) - C(n+j-1, i+j-1) t^(i+j-1) (1-t)^d
+                power *= t
+                reg -= math.comb(n + j - 1, i + j - 1) * power
             folded += 2 * math.comb(a, j) * (-1) ** j * t ** (a - j) * bv * reg
     signed *= prefactor
     folded *= prefactor
-    total = signed + folded if q.odd else signed
-    return SensorMoment(i=i, t=t, e_total=total, e_signed_part=signed,
-                        e_folded_part=folded if q.odd else Fraction(0))
+    return SensorMoment(i=i, t=t, e_total=signed + folded, e_signed_part=signed,
+                        e_folded_part=folded)
 
 
 def total_moment_exact(q: MomentQuery) -> MomentBreakdown:
-    """Exact breakdown of the total expected cost; guarded at EXACT_N_GUARD."""
-    if q.n > EXACT_N_GUARD:
+    """Exact breakdown of the total expected cost; guarded at EXACT_N_GUARD.
+
+    Sensors i > n/2 are computed; each sensor i <= n/2 is the mirror image of
+    n+1-i: same total, and for odd a the signed part changes sign.
+    """
+    n = q.n
+    if n > EXACT_N_GUARD:
         raise SizeGuardError(
-            f"exact path guarded at n <= {EXACT_N_GUARD} (got n={q.n}); "
+            f"exact path guarded at n <= {EXACT_N_GUARD} (got n={n}); "
             "use total_moment_float for larger n")
-    entries = tuple(per_sensor_moment_exact(q, i) for i in range(1, q.n + 1))
+    upper = [per_sensor_moment_exact(q, i) for i in range(n // 2 + 1, n + 1)]
+    lower = []
+    for i in range(1, n // 2 + 1):
+        e = upper[-i]  # sensor n+1-i
+        signed = -e.e_signed_part if q.odd else e.e_signed_part
+        lower.append(SensorMoment(i=i, t=anchor(i, n), e_total=e.e_total,
+                                  e_signed_part=signed, e_folded_part=e.e_total - signed))
+    entries = tuple(lower + upper)
     total = Fraction(0)
     for e in entries:
         total += e.e_total
     return MomentBreakdown(per_sensor=entries, total=total)
-
-
-def folded_split_via_incomplete_beta(q: MomentQuery, i: int) -> tuple[Fraction, Fraction]:
-    """Folded part split by the incomplete-Beta parameter recurrence.
-
-    Each j-term of the folded part carries I(t_i; i+j, n-i+1); stepping its
-    first parameter down to i leaves a base term proportional to
-    I(t_i; i, n-i+1) plus an explicit chain of binomial corrections.  Returns
-    (base_piece, correction_piece); their sum equals the directly integrated
-    folded part exactly.
-    """
-    n, a = q.n, q.a
-    if not q.odd:
-        raise ValueError("the folded decomposition applies to odd a only")
-    t = anchor(i, n)
-    one_minus_t = 1 - t
-    prefactor = 2 * i * math.comb(n, i)
-    base_reg = _ibeta_exact_cached(t, i, n - i + 1)
-    part_base = Fraction(0)
-    part_chain = Fraction(0)
-    for j in range(a + 1):
-        denom = math.comb(n + j, i + j) * (i + j)
-        coeff = Fraction(math.comb(a, j) * (-1) ** j, denom) * t ** (a - j)
-        part_base += coeff * base_reg
-        chain = Fraction(0)
-        for k in range(1, j + 1):
-            chain += math.comb(n + k - 1, i + k - 1) * t ** (i + k - 1) * one_minus_t ** (n - i + 1)
-        part_chain -= coeff * chain
-    return prefactor * part_base, prefactor * part_chain
-
-
-def folded_part_via_incomplete_beta(q: MomentQuery, i: int) -> Fraction:
-    """Folded part E_i^(a,2) computed by the recurrence route (odd a)."""
-    base, chain = folded_split_via_incomplete_beta(q, i)
-    return base + chain
 
 
 # --- float paths -----------------------------------------------------------

@@ -4,7 +4,7 @@ Half-integer Gamma and Beta values live in the ring of monomials
 q * sqrt(2)**s * sqrt(pi)**p with q rational, so identities between them can
 be verified exactly instead of to a tolerance.  The regularized incomplete
 Beta function has an exact rational path (integer parameters, rational z) and
-a float path for large parameters.
+a one-step form of its parameter recurrence.
 """
 
 from __future__ import annotations
@@ -14,16 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from scipy.special import betainc as _betainc
-
 __all__ = [
     "HalfIntValue",
-    "IncompleteBetaQuery",
     "gamma_half_int",
     "beta_exact",
     "incomplete_beta_regularized_exact",
     "incomplete_beta_step_down",
-    "incomplete_beta_float",
     "stirling_bounds",
 ]
 
@@ -128,21 +124,6 @@ class HalfIntValue:
         return "*".join(parts)
 
 
-@dataclass(frozen=True)
-class IncompleteBetaQuery:
-    """Validated argument triple for I(z; c, d) with integer parameters."""
-
-    z: Fraction
-    c: int
-    d: int
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.z <= 1):
-            raise ValueError("z must lie in [0, 1]")
-        if self.c < 1 or self.d < 1:
-            raise ValueError("c and d must be integers >= 1")
-
-
 def gamma_half_int(two_z: int) -> HalfIntValue:
     """Gamma(two_z / 2), exact.
 
@@ -225,15 +206,6 @@ def incomplete_beta_step_down(z: Rational, c: int, d: int) -> Fraction:
         raise ValueError("d must be an integer >= 1")
     coeff = Fraction(math.factorial(c + d - 2), math.factorial(c - 1) * math.factorial(d - 1))
     return incomplete_beta_regularized_exact(z, c - 1, d) - coeff * z ** (c - 1) * (1 - z) ** d
-
-
-def incomplete_beta_float(z: float, c: float, d: float) -> float:
-    """Float I(z; c, d) for c, d > 0; the large-parameter fast path."""
-    if not (0.0 <= z <= 1.0):
-        raise ValueError("z must lie in [0, 1]")
-    if c <= 0 or d <= 0:
-        raise ValueError("c and d must be positive")
-    return float(_betainc(c, d, z))
 
 
 def stirling_bounds(m: int) -> tuple[float, float, float]:

@@ -14,7 +14,7 @@ from anchor_moments.asymptotics import (
     verify_diagonal_beta_identity,
 )
 from anchor_moments.moments import MomentQuery, per_sensor_moment_exact
-from anchor_moments.special_functions import HalfIntValue
+from anchor_moments.special_functions import HalfIntValue, incomplete_beta_regularized_exact
 
 # --- literal transcription oracles (independent nested loops, Fractions) --------
 
@@ -145,12 +145,18 @@ def test_tail_correction_matches_literal_oracle():
 
 
 def test_tail_correction_is_half_the_base_split_piece():
-    # the reduced-coefficient sum equals half the folded base pieces summed
-    from anchor_moments.moments import folded_split_via_incomplete_beta
-
+    # the reduced-coefficient sum equals half the folded base pieces summed;
+    # the base piece of sensor i is the folded part with every
+    # I(t_i; i+j, n-i+1) replaced by I(t_i; i, n-i+1)
     for n, a in ((5, 1), (8, 3), (12, 5)):
-        q = MomentQuery(n, a)
-        base_total = sum(folded_split_via_incomplete_beta(q, i)[0] for i in range(1, n + 1))
+        base_total = Fraction(0)
+        for i in range(1, n + 1):
+            t = Fraction(2 * i - 1, 2 * n)
+            reg = incomplete_beta_regularized_exact(t, i, n - i + 1)
+            for j in range(a + 1):
+                beta = Fraction(1, math.comb(n + j, i + j) * (i + j))
+                base_total += (2 * i * math.comb(n, i) * math.comb(a, j) * (-1) ** j
+                               * t ** (a - j) * beta * reg)
         assert 2 * vanishing_tail_correction_sum(n, a) == base_total
 
 

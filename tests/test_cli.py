@@ -1,10 +1,11 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
-from anchor_moments.cli import main
+from anchor_moments.cli import _frac, main
 
 
 def run_cli(capsys, *argv):
@@ -23,6 +24,11 @@ def test_exact_total_json(capsys):
     assert payload["command"] == "exact"
     assert payload["rows"] == [{"total": "19/48", "total_approx": repr(19 / 48)}]
     assert payload["metadata"] == {"version": "0.1.0"}
+
+
+def test_frac_prints_past_the_int_digit_limit():
+    # 3**9100 has 4342 digits, past Python's default 4300-digit str(int) limit
+    assert _frac(Fraction(1, 3**9100)) == "1/" + str(3**9100)
 
 
 def test_exact_small_cubic(capsys):

@@ -6,11 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anchor_moments.combinatorics import (
-    TriangleKind,
-    TriangleTable,
     binomial,
     eulerian_second_order,
-    expand_rising_to_powers,
     falling_factorial,
     finite_difference,
     rising_factorial,
@@ -156,28 +153,6 @@ def test_triangle_zero_outside():
             fn(-2, 0)
 
 
-def test_triangle_table_build_and_lookup():
-    table = TriangleTable.build(TriangleKind.STIRLING_SUBSET, 8)
-    assert table.max_row == 8
-    assert table.value(4, 2) == 7
-    assert table.value(4, 9) == 0
-    assert table.entries[0][0] == 1
-    with pytest.raises(ValueError):
-        table.value(9, 0)
-
-
-@pytest.mark.parametrize("kind,fn", [
-    (TriangleKind.STIRLING_CYCLE, stirling_cycle),
-    (TriangleKind.STIRLING_SUBSET, stirling_subset),
-    (TriangleKind.EULERIAN_SECOND_ORDER, eulerian_second_order),
-])
-def test_triangle_table_matches_functions(kind, fn):
-    table = TriangleTable.build(kind, 12)
-    for n in range(13):
-        for k in range(n + 1):
-            assert table.value(n, k) == fn(n, k)
-
-
 # --- finite difference ----------------------------------------------------------
 
 
@@ -215,13 +190,18 @@ def test_finite_difference_annihilates_random_low_degree_polynomials(a, coeffs):
 # --- rising-power expansion ------------------------------------------------------
 
 
+def _rising_coefficients(m):
+    """c_l with x(x+1)...(x+m-1) = sum c_l x^l, l = 0..m."""
+    return [stirling_cycle(m, l) for l in range(m + 1)]
+
+
 def test_expand_rising_examples():
-    assert expand_rising_to_powers(0) == [1]
-    assert expand_rising_to_powers(2) == [0, 1, 1]  # x(x+1) = x + x^2
-    assert expand_rising_to_powers(3) == [0, 2, 3, 1]  # x(x+1)(x+2)
+    assert _rising_coefficients(0) == [1]
+    assert _rising_coefficients(2) == [0, 1, 1]  # x(x+1) = x + x^2
+    assert _rising_coefficients(3) == [0, 2, 3, 1]  # x(x+1)(x+2)
 
 
 @given(st.fractions(min_value=-6, max_value=6, max_denominator=12), st.integers(0, 9))
 def test_expand_rising_consistent_with_direct_product(x, m):
-    coeffs = expand_rising_to_powers(m)
+    coeffs = _rising_coefficients(m)
     assert sum(c * x**p for p, c in enumerate(coeffs)) == rising_factorial(x, m)

@@ -7,14 +7,14 @@ from scipy import integrate
 from anchor_moments.moments import (
     EXACT_N_GUARD,
     MomentQuery,
+    SensorMoment,
     SizeGuardError,
     anchor,
-    folded_part_via_incomplete_beta,
-    folded_split_via_incomplete_beta,
     per_sensor_moment_exact,
     total_moment_exact,
     total_moment_float,
 )
+from anchor_moments.special_functions import beta_exact, incomplete_beta_regularized_exact
 
 # --- independent oracles -------------------------------------------------------
 
@@ -34,6 +34,26 @@ def quadrature_total(n: int, a: int) -> float:
         assert err < 1e-11
         total += pre * val
     return total
+
+
+def direct_sensor_moment(q: MomentQuery, i: int) -> SensorMoment:
+    """Per-sensor moment with one exact I(t_i; i+j, n-i+1) per j, no
+    recurrence and no reflection."""
+    n, a = q.n, q.a
+    t = Fraction(2 * i - 1, 2 * n)
+    prefactor = i * math.comb(n, i)
+    signed = Fraction(0)
+    folded = Fraction(0)
+    for j in range(a + 1):
+        bv = beta_exact(i + j, n - i + 1).rational
+        signed += math.comb(a, j) * (-t) ** (a - j) * bv
+        if q.odd:
+            reg = incomplete_beta_regularized_exact(t, i + j, n - i + 1)
+            folded += 2 * math.comb(a, j) * (-1) ** j * t ** (a - j) * bv * reg
+    signed *= prefactor
+    folded *= prefactor
+    return SensorMoment(i=i, t=t, e_total=signed + folded, e_signed_part=signed,
+                        e_folded_part=folded)
 
 
 def variance_bias_total_quadratic(n: int) -> Fraction:
@@ -153,28 +173,28 @@ def test_query_validation():
         MomentQuery(1, 0)
 
 
-# --- folded part via the recurrence route ----------------------------------------------
+# --- recurrence and reflection against the direct per-j oracle ---------------------------
+
+
+def test_total_breakdown_equals_direct_oracle():
+    # every field of every sensor, even and odd n; for odd n and odd a the
+    # middle sensor mirrors onto itself and has no signed part
+    for n in range(1, 41):
+        for a in range(1, 10):
+            q = MomentQuery(n, a)
+            bd = total_moment_exact(q)
+            assert bd.per_sensor == tuple(direct_sensor_moment(q, i) for i in range(1, n + 1))
+            if n % 2 and q.odd:
+                assert bd.per_sensor[n // 2].e_signed_part == 0
 
 
 def test_folded_route_equals_direct_folded_part():
+    # per_sensor_moment_exact on every sensor, including those the total mirrors
     for n in range(1, 41):
         for a in (1, 3, 5):
             q = MomentQuery(n, a)
             for i in range(1, n + 1):
-                direct = per_sensor_moment_exact(q, i).e_folded_part
-                assert folded_part_via_incomplete_beta(q, i) == direct
-
-
-def test_folded_split_pieces_sum():
-    q = MomentQuery(11, 3)
-    for i in range(1, 12):
-        base, chain = folded_split_via_incomplete_beta(q, i)
-        assert base + chain == per_sensor_moment_exact(q, i).e_folded_part
-
-
-def test_folded_route_rejects_even_order():
-    with pytest.raises(ValueError):
-        folded_part_via_incomplete_beta(MomentQuery(4, 2), 1)
+                assert per_sensor_moment_exact(q, i) == direct_sensor_moment(q, i)
 
 
 # --- float path -------------------------------------------------------------------------

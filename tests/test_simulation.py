@@ -5,45 +5,43 @@ from anchor_moments.moments import MomentQuery, total_moment_exact
 from anchor_moments.simulation import (
     SimulationConfig,
     SimulationResult,
+    _costs_from_uniforms,
     estimate,
-    run_trial,
 )
 
-
-class _FixedDraws:
-    """Generator stand-in handing back a prescribed uniform matrix."""
-
-    def __init__(self, values):
-        self._values = np.asarray(values, dtype=np.float64)
-
-    def random(self, shape):
-        assert shape == self._values.shape
-        return self._values.copy()
+# One trial is one row of the uniform matrix that _costs_from_uniforms reduces.
 
 
 def test_run_trial_zero_displacement():
-    cost = run_trial(1, 1, _FixedDraws([[0.5]]))
-    assert cost == 0.0
+    assert _costs_from_uniforms(np.array([[0.5]]), 1).tolist() == [0.0]
 
 
 def test_run_trial_endpoint_configuration():
     # draws {0, 1} at n=2: |0 - 1/4|^a + |1 - 3/4|^a = 2 (1/4)^a
     for a in (1, 2, 3):
-        cost = run_trial(2, a, _FixedDraws([[1.0, 0.0]]))
+        cost = _costs_from_uniforms(np.array([[1.0, 0.0]]), a)[0]
         assert cost == pytest.approx(2 * 0.25**a, rel=1e-15)
 
 
 def test_run_trial_sorts_draws():
-    cost_sorted = run_trial(3, 1, _FixedDraws([[0.1, 0.5, 0.9]]))
-    cost_shuffled = run_trial(3, 1, _FixedDraws([[0.9, 0.1, 0.5]]))
-    assert cost_sorted == cost_shuffled
+    costs = _costs_from_uniforms(np.array([[0.1, 0.5, 0.9], [0.9, 0.1, 0.5]]), 1)
+    assert costs[0] == costs[1]
 
 
 def test_run_trial_with_real_generator_bounds():
     rng = np.random.Generator(np.random.Philox(key=123))
     for n in (1, 3, 10):
-        cost = run_trial(n, 2, rng)
+        cost = _costs_from_uniforms(rng.random((1, n)), 2)[0]
         assert 0.0 <= cost <= n
+
+
+def test_costs_match_out_of_place_formula():
+    rng = np.random.Generator(np.random.Philox(key=5))
+    for n, a in ((1, 1), (7, 2), (40, 3), (129, 9)):
+        u = rng.random((300, n))
+        anchors = (2.0 * np.arange(1, n + 1) - 1.0) / (2 * n)
+        expected = (np.abs(np.sort(u, axis=1) - anchors) ** a).sum(axis=1)
+        assert np.array_equal(_costs_from_uniforms(u, a), expected)
 
 
 def test_config_validation():
@@ -100,9 +98,8 @@ def test_estimate_costs_within_bounds():
 
 def test_every_trial_cost_within_bounds():
     rng = np.random.Generator(np.random.Philox(key=77))
-    for _ in range(500):
-        cost = run_trial(8, 3, rng)
-        assert 0.0 <= cost <= 8.0
+    costs = _costs_from_uniforms(rng.random((500, 8)), 3)
+    assert np.all((costs >= 0.0) & (costs <= 8.0))
 
 
 @pytest.mark.parametrize("n,a", [(1, 1), (2, 1), (5, 1), (10, 3), (50, 2)])

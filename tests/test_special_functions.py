@@ -4,13 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betainc
 
 from anchor_moments.special_functions import (
     HalfIntValue,
-    IncompleteBetaQuery,
     beta_exact,
     gamma_half_int,
-    incomplete_beta_float,
     incomplete_beta_regularized_exact,
     incomplete_beta_step_down,
     stirling_bounds,
@@ -190,15 +189,6 @@ def test_incomplete_beta_complement(z, c, d):
     assert lhs + rhs == 1
 
 
-def test_query_validation():
-    q = IncompleteBetaQuery(Fraction(1, 3), 2, 5)
-    assert q.c == 2
-    with pytest.raises(ValueError):
-        IncompleteBetaQuery(Fraction(3, 2), 1, 1)
-    with pytest.raises(ValueError):
-        IncompleteBetaQuery(Fraction(1, 2), 0, 1)
-
-
 # --- step-down recurrence -----------------------------------------------------------
 
 
@@ -224,14 +214,14 @@ def test_step_down_equals_direct_on_grid():
                     incomplete_beta_regularized_exact(z, c, d)
 
 
-# --- float path ----------------------------------------------------------------------
+# --- float incomplete Beta (scipy) against the exact one ----------------------------------------------------------------------
 
 
 def test_incomplete_beta_float_examples():
-    assert incomplete_beta_float(0.5, 1, 1) == pytest.approx(0.5, abs=1e-15)
-    assert incomplete_beta_float(0.25, 2, 2) == pytest.approx(0.15625, rel=1e-14)
+    assert betainc(1, 1, 0.5) == pytest.approx(0.5, abs=1e-15)
+    assert betainc(2, 2, 0.25) == pytest.approx(0.15625, rel=1e-14)
     exact = incomplete_beta_regularized_exact(Fraction(3, 10), 10, 5)
-    assert incomplete_beta_float(0.3, 10, 5) == pytest.approx(float(exact), rel=1e-12)
+    assert betainc(10, 5, 0.3) == pytest.approx(float(exact), rel=1e-12)
 
 
 def test_incomplete_beta_float_matches_exact_large_parameters():
@@ -239,15 +229,8 @@ def test_incomplete_beta_float_matches_exact_large_parameters():
              (Fraction(7, 8), 420, 13), (Fraction(2, 3), 100, 199)]
     for z, c, d in cases:
         exact = float(incomplete_beta_regularized_exact(z, c, d))
-        approx = incomplete_beta_float(float(z), float(c), float(d))
+        approx = betainc(c, d, float(z))
         assert approx == pytest.approx(exact, rel=1e-12)
-
-
-def test_incomplete_beta_float_domain():
-    with pytest.raises(ValueError):
-        incomplete_beta_float(1.5, 1, 1)
-    with pytest.raises(ValueError):
-        incomplete_beta_float(0.5, 0, 1)
 
 
 # --- factorial bounds ------------------------------------------------------------------
