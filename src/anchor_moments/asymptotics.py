@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln as _gammaln
 
 from .combinatorics import rising_factorial
-from .moments import EXACT_N_GUARD, MomentQuery, SizeGuardError, total_moment_float
+from .moments import (EXACT_N_GUARD, MomentQuery, SizeGuardError, beta_density_at_anchor,
+                      total_moment_float)
 from .special_functions import (
     HalfIntValue,
     beta_exact,
@@ -125,6 +125,7 @@ def vanishing_tail_correction_sum(n: int, a: int) -> Fraction:
     * i^rising(j) (n+a)^falling(a-j).  The weighted integral collapses to
     I(t_i; i, n-i+1), so the sum is a rational combination of exact
     incomplete-Beta values.  Normalized size n^((a-1)/2)|.| stays bounded.
+    For i <= n/2 the complement 1 - I(1-t_i; n-i+1, i) has i terms, not n-i+1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -142,7 +143,9 @@ def vanishing_tail_correction_sum(n: int, a: int) -> Fraction:
                     * rising_factorial(i, j) * rising_factorial(n + j + 1, a - j)
                     * 2 ** j)
             acc = acc + term if j % 2 == 0 else acc - term
-        reg = incomplete_beta_regularized_exact(Fraction(2 * i - 1, 2 * n), i, n - i + 1)
+        t = Fraction(2 * i - 1, 2 * n)
+        reg = (1 - incomplete_beta_regularized_exact(1 - t, n - i + 1, i) if 2 * i <= n
+               else incomplete_beta_regularized_exact(t, i, n - i + 1))
         total += Fraction(acc, 2**a * denom) * reg
     return total
 
@@ -150,19 +153,17 @@ def vanishing_tail_correction_sum(n: int, a: int) -> Fraction:
 def abel_anchor_sum(n: int, c: float) -> float:
     """Diagnostic sum 4: sum_i 2i C(n,i) (1-t_i)^(n-i+1) t_i^(i+c), float.
 
-    Grows like n^(3/2) * (2/sqrt(2 pi)) * B(c+3/2, 3/2); evaluated in log
-    space with exactly-rounded final summation, good to n = 10^7.
+    Grows like n^(3/2) * (2/sqrt(2 pi)) * B(c+3/2, 3/2).  Each term is
+    2 f_i(t_i) t_i^(c+1) (1-t_i) with f_i the Beta(i, n-i+1) density, so the
+    sum is exactly rounded from terms good to about 1e-15, up to n = 10^7.
     """
     if not 1 <= n <= 10**7:
         raise ValueError("n must lie in [1, 10^7]")
     if c < 0:
         raise ValueError("c must be >= 0")
     i = np.arange(1, n + 1, dtype=np.float64)
-    log_t = np.log(2.0 * i - 1.0) - math.log(2 * n)
-    log_1mt = np.log(2.0 * (n - i) + 1.0) - math.log(2 * n)
-    log_comb = (_gammaln(n + 1.0) - _gammaln(i + 1.0) - _gammaln(n - i + 1.0))
-    log_term = math.log(2.0) + np.log(i) + log_comb + (n - i + 1.0) * log_1mt + (i + c) * log_t
-    return math.fsum(np.exp(log_term))
+    t, one_minus_t = (2.0 * i - 1.0) / (2 * n), (2.0 * (n - i) + 1.0) / (2 * n)
+    return math.fsum(2.0 * beta_density_at_anchor(n, i) * t ** (c + 1) * one_minus_t)
 
 
 def abel_anchor_sum_exact(n: int, c: int) -> Fraction:
@@ -232,9 +233,10 @@ def remainder_diagnostic(a: int, n_grid: list[int] | tuple[int, ...]) -> Asympto
 
     measured = total cost (float path); normalized = measured / n^(1-a/2),
     which approaches leading_constant(a).  The fit regresses
-    log|measured - C n^(1-a/2)| on log n; points below the float noise floor
-    are dropped, and a fit with fewer than two usable points is reported as
-    degenerate (exponent NaN) rather than failed.
+    log|measured - C n^(1-a/2)| on log n; points whose residual is below the
+    float noise floor relative to the total are dropped, and a fit with fewer
+    than two usable points is reported as degenerate (exponent NaN) rather
+    than failed.
     """
     grid = tuple(int(n) for n in n_grid)
     if len(grid) < 2:
@@ -252,8 +254,8 @@ def remainder_diagnostic(a: int, n_grid: list[int] | tuple[int, ...]) -> Asympto
         measured.append(s)
         normalized.append(s / scale)
         residuals.append(s - c_float * scale)
-    usable = [(math.log(n), math.log(abs(r)))
-              for n, r in zip(grid, residuals) if abs(r) > _FLOAT_NOISE_FLOOR]
+    usable = [(math.log(n), math.log(abs(r))) for n, s, r in zip(grid, measured, residuals)
+              if abs(r) > _FLOAT_NOISE_FLOOR * abs(s)]
     if len(usable) >= 2:
         xs, ys = zip(*usable)
         slope = float(np.polyfit(xs, ys, 1)[0])

@@ -281,6 +281,17 @@ def test_remainder_diagnostic_cubic_exponent():
     assert report.fitted_exponent <= -0.5
 
 
+def test_remainder_diagnostic_high_odd_orders():
+    # totals of order a ~ n^(1-a/2) are tiny at n = 10^5 and must still be
+    # positive, close to the constant, and fit the O(n^-((a-1)/2)) remainder
+    for a in (7, 9):
+        report = remainder_diagnostic(a, (1000, 10_000, 100_000))
+        assert all(m > 0 for m in report.measured)
+        assert report.normalized[-1] == pytest.approx(leading_constant(a).to_float(), rel=1e-3)
+        assert not report.degenerate_fit
+        assert report.fitted_exponent <= -(a - 1) / 2
+
+
 def test_remainder_diagnostic_validates_grid():
     with pytest.raises(ValueError):
         remainder_diagnostic(1, [100])

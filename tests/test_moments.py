@@ -1,6 +1,8 @@
 import math
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 from scipy import integrate
 
@@ -10,6 +12,7 @@ from anchor_moments.moments import (
     SensorMoment,
     SizeGuardError,
     anchor,
+    beta_density_at_anchor,
     per_sensor_moment_exact,
     total_moment_exact,
     total_moment_float,
@@ -222,8 +225,7 @@ def test_float_breakdown_consistency():
     assert all(bd.e_folded_part >= 0)
 
 
-def test_float_large_n_uses_expansion_path():
-    # n beyond the series cutoff still matches the asymptotic scale
+def test_float_large_n_matches_leading_constant():
     s = total_moment_float(MomentQuery(10_000, 1)).total
     assert s / math.sqrt(10_000) == pytest.approx(0.3133285, abs=2e-5)
 
@@ -233,7 +235,74 @@ def test_float_path_rejects_oversize():
         total_moment_float(MomentQuery(10**7 + 1, 1))
 
 
-def test_float_expansion_even_order():
-    # expansion path (n > 2000) for even a: S(n,2) = 1/6 - 1/(12n) exactly
-    s = total_moment_float(MomentQuery(3000, 2)).total
-    assert s == pytest.approx(1 / 6 - 1 / (12 * 3000), rel=1e-10)
+def test_float_even_order_closed_form():
+    # S(n,2) = 1/6 - 1/(12n) exactly
+    for n in (3000, 100_000):
+        s = total_moment_float(MomentQuery(n, 2)).total
+        assert s == pytest.approx(1 / 6 - 1 / (12 * n), rel=1e-14)
+
+
+def _assert_fields_match(fl, i: int, e: SensorMoment, rel: float = 1e-12) -> None:
+    for got, want in ((fl.e_total[i - 1], e.e_total), (fl.e_signed_part[i - 1], e.e_signed_part),
+                      (fl.e_folded_part[i - 1], e.e_folded_part)):
+        if want == 0:
+            assert got == 0
+        else:
+            assert abs(got - float(want)) <= rel * abs(float(want)), (i, got, want)
+
+
+def test_float_every_field_matches_exact():
+    # computed and mirrored sensors alike, including the bottom sensors whose
+    # folded part is the small right tail of their mirror image
+    for n in (1, 2, 3, 7, 40, 200):
+        for a in range(1, 10):
+            q = MomentQuery(n, a)
+            fl = total_moment_float(q)
+            for e in total_moment_exact(q).per_sensor:
+                _assert_fields_match(fl, e.i, e)
+
+
+def test_float_top_sensors_match_exact_large_n():
+    # 1 - t_i is small here: forming it as 1.0 - t_i costs about 1e-12
+    n = 20_000
+    for a in (1, 2):
+        q = MomentQuery(n, a)
+        fl = total_moment_float(q)
+        for i in range(n - 29, n + 1):
+            _assert_fields_match(fl, i, per_sensor_moment_exact(q, i), rel=1e-13)
+
+
+def test_beta_density_at_anchor_matches_exact():
+    for n in (1, 2, 3, 16, 17, 33, 200, 1000):
+        dens = beta_density_at_anchor(n, np.arange(1, n + 1, dtype=np.float64))
+        for i in range(1, n + 1):
+            t = Fraction(2 * i - 1, 2 * n)
+            exact = float(i * math.comb(n, i) * t ** (i - 1) * (1 - t) ** (n - i))
+            assert dens[i - 1] == pytest.approx(exact, rel=2e-15, abs=0)
+
+
+def _mpmath_sensor(n: int, a: int, i: int) -> tuple[float, float, float]:
+    """(e_total, e_signed_part, e_folded_part) by 40-digit quadrature, split at
+    the anchor into panels a few standard deviations wide."""
+    with mpmath.workdps(40):
+        t = mpmath.mpf(2 * i - 1) / (2 * n)
+        log_beta = mpmath.loggamma(i) + mpmath.loggamma(n - i + 1) - mpmath.loggamma(n + 1)
+        sd = mpmath.sqrt(t * (1 - t) / n)
+
+        def density(x):
+            return mpmath.exp((i - 1) * mpmath.log(x) + (n - i) * mpmath.log1p(-x) - log_beta)
+
+        steps = [0, 2, 5, 10, 20, 40]
+        left = mpmath.quad(lambda x: (t - x) ** a * density(x), [t - k * sd for k in steps[::-1]])
+        right = mpmath.quad(lambda x: (x - t) ** a * density(x), [t + k * sd for k in steps])
+        return float(left + right), float(right - left), float(2 * left)
+
+
+def test_float_matches_mpmath_oracle_interior_sensors():
+    n = 100_000
+    for a in (1, 9):
+        fl = total_moment_float(MomentQuery(n, a))
+        for i in (20_000, 49_999, 50_001, 80_000):
+            got = (fl.e_total[i - 1], fl.e_signed_part[i - 1], fl.e_folded_part[i - 1])
+            for g, w in zip(got, _mpmath_sensor(n, a, i)):
+                assert g == pytest.approx(w, rel=1e-14, abs=0)
