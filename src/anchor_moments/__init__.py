@@ -15,7 +15,6 @@ from .asymptotics import (
     CoefficientSet,
     IdentityCheckResult,
     abel_anchor_sum,
-    abel_anchor_sum_exact,
     diagonal_coefficients,
     leading_constant,
     remainder_diagnostic,

@@ -18,14 +18,9 @@ from fractions import Fraction
 import numpy as np
 
 from .combinatorics import rising_factorial
-from .moments import (EXACT_N_GUARD, MomentQuery, SizeGuardError, beta_density_at_anchor,
-                      total_moment_float)
-from .special_functions import (
-    HalfIntValue,
-    beta_exact,
-    gamma_half_int,
-    incomplete_beta_regularized_exact,
-)
+from .moments import (EXACT_N_GUARD, MomentQuery, SizeGuardError, _left_moment,
+                      _left_tail_probability, beta_density_at_anchor, total_moment_float)
+from .special_functions import HalfIntValue, beta_exact, gamma_half_int
 
 __all__ = [
     "AsymptoticReport",
@@ -35,7 +30,6 @@ __all__ = [
     "vanishing_signed_sum",
     "vanishing_tail_correction_sum",
     "abel_anchor_sum",
-    "abel_anchor_sum_exact",
     "diagonal_coefficients",
     "verify_diagonal_beta_identity",
     "remainder_diagnostic",
@@ -122,10 +116,12 @@ def vanishing_tail_correction_sum(n: int, a: int) -> Fraction:
 
     sum_i A_i * C(n,i) i * int_0^{t_i} x^(i-1)(1-x)^(n-i) dx with
     A_i = (n^a (n+1)^rising(a))^-1 * sum_j C(a,j)(-1)^j n^j (i-1/2)^(a-j)
-    * i^rising(j) (n+a)^falling(a-j).  The weighted integral collapses to
-    I(t_i; i, n-i+1), so the sum is a rational combination of exact
-    incomplete-Beta values.  Normalized size n^((a-1)/2)|.| stays bounded.
-    For i <= n/2 the complement 1 - I(1-t_i; n-i+1, i) has i terms, not n-i+1.
+    * i^rising(j) (n+a)^falling(a-j).  Since (n+1)^rising(a) / (n+a)^falling(a-j)
+    = (n+1)^rising(j) and E X_i^j = i^rising(j) / (n+1)^rising(j),
+    A_i = E(t_i - X_i)^a, which the Pearson recurrence gives; the weighted
+    integral is I(t_i; i, n-i+1).  So the sum is
+    sum_i E(t_i - X_i)^a I(t_i; i, n-i+1), exact.  Normalized size
+    n^((a-1)/2)|.| stays bounded.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -134,19 +130,11 @@ def vanishing_tail_correction_sum(n: int, a: int) -> Fraction:
     if n > EXACT_N_GUARD:
         raise SizeGuardError(
             f"tail-correction sum is exact-path only (n <= {EXACT_N_GUARD}, got {n})")
-    denom = n**a * rising_factorial(n + 1, a)
     total = Fraction(0)
     for i in range(1, n + 1):
-        acc = 0
-        for j in range(a + 1):
-            term = (math.comb(a, j) * n**j * (2 * i - 1) ** (a - j)
-                    * rising_factorial(i, j) * rising_factorial(n + j + 1, a - j)
-                    * 2 ** j)
-            acc = acc + term if j % 2 == 0 else acc - term
         t = Fraction(2 * i - 1, 2 * n)
-        reg = (1 - incomplete_beta_regularized_exact(1 - t, n - i + 1, i) if 2 * i <= n
-               else incomplete_beta_regularized_exact(t, i, n - i + 1))
-        total += Fraction(acc, 2**a * denom) * reg
+        moment = _left_moment(n, a, t * (1 - t), t - Fraction(1, 2), 0, 1)
+        total += moment * _left_tail_probability(n, i, t)
     return total
 
 
@@ -159,22 +147,11 @@ def abel_anchor_sum(n: int, c: float) -> float:
     """
     if not 1 <= n <= 10**7:
         raise ValueError("n must lie in [1, 10^7]")
-    if c < 0:
-        raise ValueError("c must be >= 0")
+    if not 0 <= c < math.inf:  # also refuses NaN
+        raise ValueError("c must lie in [0, inf)")
     i = np.arange(1, n + 1, dtype=np.float64)
     t, one_minus_t = (2.0 * i - 1.0) / (2 * n), (2.0 * (n - i) + 1.0) / (2 * n)
     return math.fsum(2.0 * beta_density_at_anchor(n, i) * t ** (c + 1) * one_minus_t)
-
-
-def abel_anchor_sum_exact(n: int, c: int) -> Fraction:
-    """Exact rational value of the diagnostic-4 sum for integer c >= 0."""
-    if n < 1 or c < 0:
-        raise ValueError("need n >= 1 and integer c >= 0")
-    total = Fraction(0)
-    for i in range(1, n + 1):
-        t = Fraction(2 * i - 1, 2 * n)
-        total += 2 * i * math.comb(n, i) * (1 - t) ** (n - i + 1) * t ** (i + c)
-    return total
 
 
 def diagonal_coefficients(a: int) -> CoefficientSet:

@@ -118,7 +118,7 @@ class HalfIntValue:
     def __str__(self) -> str:
         parts = [str(self.rational)]
         if self.sqrt2_pow:
-            parts.append("sqrt(2)" if self.sqrt2_pow == 1 else f"sqrt(2)^{self.sqrt2_pow}")
+            parts.append("sqrt(2)")
         if self.sqrt_pi_pow:
             parts.append("sqrt(pi)" if self.sqrt_pi_pow == 1 else f"sqrt(pi)^{self.sqrt_pi_pow}")
         return "*".join(parts)

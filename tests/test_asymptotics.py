@@ -5,7 +5,6 @@ import pytest
 
 from anchor_moments.asymptotics import (
     abel_anchor_sum,
-    abel_anchor_sum_exact,
     diagonal_coefficients,
     leading_constant,
     remainder_diagnostic,
@@ -178,14 +177,8 @@ def test_tail_correction_size_guard():
 def test_abel_sum_float_matches_exact_all_small_n():
     for n in range(1, 201):
         for c in (0, 1, 2):
-            exact = float(abel_anchor_sum_exact(n, c))
+            exact = float(oracle_abel_sum(n, c))
             assert abel_anchor_sum(n, float(c)) == pytest.approx(exact, rel=1e-10)
-
-
-def test_abel_sum_exact_matches_literal_oracle():
-    for n in (1, 2, 5, 12, 20):
-        for c in (0, 1, 3):
-            assert abel_anchor_sum_exact(n, c) == oracle_abel_sum(n, c)
 
 
 def test_abel_sum_scaling_constants():

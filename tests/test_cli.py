@@ -181,6 +181,13 @@ def test_lemma_flag_validation(capsys):
     assert run_cli(capsys, "lemma", "--id", "1", "--a", "3")[0] == 2  # no --n/--grid
 
 
+def test_lemma_four_non_finite_c_exits_2(capsys):
+    # NaN fails every comparison, so a bare c < 0 check let it through
+    for c in ("nan", "inf"):
+        code, out, err = run_cli(capsys, "lemma", "--id", "4", "--c", c, "--n", "10")
+        assert code == 2 and out == "" and "c must lie in" in err
+
+
 # --- identities ---------------------------------------------------------------------
 
 

@@ -192,9 +192,10 @@ def test_total_breakdown_equals_direct_oracle():
 
 
 def test_folded_route_equals_direct_folded_part():
-    # per_sensor_moment_exact on every sensor, including those the total mirrors
+    # per_sensor_moment_exact on every sensor, including those the total mirrors,
+    # whose left tail comes from the complement incomplete Beta
     for n in range(1, 41):
-        for a in (1, 3, 5):
+        for a in (1, 2, 3, 5, 9):
             q = MomentQuery(n, a)
             for i in range(1, n + 1):
                 assert per_sensor_moment_exact(q, i) == direct_sensor_moment(q, i)
