@@ -18,8 +18,9 @@ from fractions import Fraction
 import numpy as np
 
 from .combinatorics import rising_factorial
-from .moments import (EXACT_N_GUARD, MomentQuery, SizeGuardError, _left_moment,
-                      _left_tail_probability, beta_density_at_anchor, total_moment_float)
+from .moments import (EXACT_N_GUARD, MomentQuery, SizeGuardError, _binomial_tail,
+                      _moment_denominator, _scaled_left_moment, beta_density_at_anchor,
+                      total_moment_float)
 from .special_functions import HalfIntValue, beta_exact, gamma_half_int
 
 __all__ = [
@@ -118,10 +119,12 @@ def vanishing_tail_correction_sum(n: int, a: int) -> Fraction:
     A_i = (n^a (n+1)^rising(a))^-1 * sum_j C(a,j)(-1)^j n^j (i-1/2)^(a-j)
     * i^rising(j) (n+a)^falling(a-j).  Since (n+1)^rising(a) / (n+a)^falling(a-j)
     = (n+1)^rising(j) and E X_i^j = i^rising(j) / (n+1)^rising(j),
-    A_i = E(t_i - X_i)^a, which the Pearson recurrence gives; the weighted
-    integral is I(t_i; i, n-i+1).  So the sum is
-    sum_i E(t_i - X_i)^a I(t_i; i, n-i+1), exact.  Normalized size
-    n^((a-1)/2)|.| stays bounded.
+    A_i = E(t_i - X_i)^a, and the weighted integral is I(t_i; i, n-i+1).  In
+    integers, E(t_i - X_i)^a = m_i / ((2n)^a (n+1)^rising(a)) by the Pearson
+    recurrence scaled by l_k = L_k (2n)^k (n+1)^rising(k), and the binomial tail
+    I(t_i; i, n-i+1) = P(Bin(n, t_i) >= i) = S_i / (2n)^n.  So the sum is
+    sum_i m_i S_i / ((2n)^(n+a) (n+1)^rising(a)), exact, reduced once.
+    Normalized size n^((a-1)/2)|.| stays bounded.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -130,12 +133,9 @@ def vanishing_tail_correction_sum(n: int, a: int) -> Fraction:
     if n > EXACT_N_GUARD:
         raise SizeGuardError(
             f"tail-correction sum is exact-path only (n <= {EXACT_N_GUARD}, got {n})")
-    total = Fraction(0)
-    for i in range(1, n + 1):
-        t = Fraction(2 * i - 1, 2 * n)
-        moment = _left_moment(n, a, t * (1 - t), t - Fraction(1, 2), 0, 1)
-        total += moment * _left_tail_probability(n, i, t)
-    return total
+    total = sum(_scaled_left_moment(n, a, i, 0, 1) * _binomial_tail(n, i)
+                for i in range(1, n + 1))
+    return Fraction(total, (2 * n) ** n * _moment_denominator(n, a))
 
 
 def abel_anchor_sum(n: int, c: float) -> float:

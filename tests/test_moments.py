@@ -201,6 +201,20 @@ def test_folded_route_equals_direct_folded_part():
                 assert per_sensor_moment_exact(q, i) == direct_sensor_moment(q, i)
 
 
+def test_total_is_the_sum_of_its_sensors_past_the_oracle_sizes():
+    # the total is summed over one common denominator and reduced once; check it
+    # against plain Fraction addition where the direct oracle is too slow
+    for n in (399, 400, 1000):
+        for a in (1, 2, 9):
+            bd = total_moment_exact(MomentQuery(n, a))
+            total = Fraction(0)
+            for e in bd.per_sensor:
+                total += e.e_total
+            assert bd.total == total
+            for i in range(1, n + 1):
+                assert bd.per_sensor[i - 1].e_total == bd.per_sensor[n - i].e_total
+
+
 # --- float path -------------------------------------------------------------------------
 
 
@@ -266,7 +280,7 @@ def test_float_every_field_matches_exact():
 def test_float_top_sensors_match_exact_large_n():
     # 1 - t_i is small here: forming it as 1.0 - t_i costs about 1e-12
     n = 20_000
-    for a in (1, 2):
+    for a in (1, 2, 9):
         q = MomentQuery(n, a)
         fl = total_moment_float(q)
         for i in range(n - 29, n + 1):
