@@ -100,12 +100,14 @@ def _cmd_exact(args: argparse.Namespace) -> tuple[OutputRecord, int]:
     breakdown = total_moment_exact(q)
     params = {"n": str(args.n), "a": str(args.a), "per_sensor": str(args.per_sensor).lower()}
     if args.per_sensor:
+        shared = {id(e.e_total): e.e_total for e in breakdown.per_sensor}  # mirrors share e_total
+        texts = {key: _frac(x) for key, x in shared.items()}
         columns = ["i", "t", "e_total", "e_signed_part", "e_folded_part", "e_total_approx"]
         rows = [
             {
                 "i": str(e.i),
                 "t": _frac(e.t),
-                "e_total": _frac(e.e_total),
+                "e_total": texts[id(e.e_total)],
                 "e_signed_part": _frac(e.e_signed_part),
                 "e_folded_part": _frac(e.e_folded_part),
                 "e_total_approx": _flt(float(e.e_total)),

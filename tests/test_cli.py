@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from anchor_moments import cli
 from anchor_moments.cli import _frac, main
 
 
@@ -46,6 +47,23 @@ def test_exact_per_sensor_table(capsys):
     assert rows[0]["t"] == "1/4" and rows[1]["t"] == "3/4"
     assert rows[0]["e_total"] == "19/96"
     assert rows[2]["e_total"] == "19/48"
+
+
+def test_exact_per_sensor_formats_each_shared_total_once(capsys, monkeypatch):
+    # a mirrored sensor shares its e_total Fraction with its mirror image
+    formatted = []
+
+    def recording_frac(x):
+        formatted.append(x)  # keeps x alive, so ids stay distinct
+        return _frac(x)
+
+    monkeypatch.setattr(cli, "_frac", recording_frac)
+    code, out, _ = run_cli(capsys, "exact", "--n", "9", "--a", "3",
+                           "--per-sensor", "--format", "csv", "--no-timestamp")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["e_total"] for r in rows[:4]] == [r["e_total"] for r in rows[8:4:-1]]
+    assert len({id(x) for x in formatted}) == len(formatted)
 
 
 def test_exact_invalid_n_exits_2(capsys):

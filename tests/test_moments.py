@@ -16,6 +16,10 @@ from anchor_moments.moments import (
     per_sensor_moment_exact,
     total_moment_exact,
     total_moment_float,
+    _ANCHOR_EVERY,
+    _CHAIN_MIN_VAR,
+    _left_tail_start,
+    _tail_step,
 )
 from anchor_moments.special_functions import beta_exact, incomplete_beta_regularized_exact
 
@@ -285,6 +289,64 @@ def test_float_top_sensors_match_exact_large_n():
         fl = total_moment_float(q)
         for i in range(n - 29, n + 1):
             _assert_fields_match(fl, i, per_sensor_moment_exact(q, i), rel=1e-13)
+
+
+def test_float_total_is_the_rounded_sum_of_its_sensors():
+    # the total is summed over the computed half only, each mirrored pair twice
+    for n in (1, 2, 3, 7, 2000, 2001, 100_001):
+        for a in (1, 2, 9):
+            bd = total_moment_float(MomentQuery(n, a))
+            assert bd.total == math.fsum(bd.e_total)
+
+
+def _chained_prefix(n: int) -> tuple[np.ndarray, int]:
+    """Computed sensors i > n/2, and how many lead with n t(1-t) >= the chain threshold."""
+    i = np.arange(n // 2 + 1, n + 1, dtype=np.float64)
+    return i, int(np.count_nonzero((2 * i - 1) * (2 * (n - i) + 1) / (4 * n) >= _CHAIN_MIN_VAR))
+
+
+def test_float_chained_sensors_match_exact():
+    n = 1770
+    _, m = _chained_prefix(n)
+    assert 2 * _ANCHOR_EVERY < m < 3 * _ANCHOR_EVERY  # two full blocks and a partial one
+    for a in (1, 9):
+        q = MomentQuery(n, a)
+        fl = total_moment_float(q)
+        for e in total_moment_exact(q).per_sensor:
+            _assert_fields_match(fl, e.i, e)
+
+
+def _binomial_tail_mpmath(n: int, i: int):
+    """P(Bin(n, t_i) >= i) by 40-digit summation of the pmf terms from k = i."""
+    with mpmath.workdps(40):
+        t = mpmath.mpf(2 * i - 1) / (2 * n)
+        ratio = t / (1 - t)
+        term = mpmath.binomial(n, i) * t**i * (1 - t) ** (n - i)
+        total, k = term, i
+        while k < n and term > total * mpmath.mpf(10) ** -45:
+            term *= (n - k) * ratio / (k + 1)
+            total += term
+            k += 1
+        return total
+
+
+def test_left_tail_start_matches_binomial_tail_oracle():
+    # betainc gives the anchors and the top sensors, and is itself off by up to
+    # about 2e-14 at this n; a chained sensor adds about one ulp to its anchor's error
+    n, k = 100_000, _ANCHOR_EVERY
+    i, m = _chained_prefix(n)
+    assert m > 2 * k and (m - 1) % k != 0  # the last chained sensor is not an anchor
+    dens = beta_density_at_anchor(n, i)
+    start = _left_tail_start(n, i, (2 * (n - i) + 1) / (2 * n), dens)
+    # an anchor, the first and last sensors of a block, the last chained sensor,
+    # the first top sensor and i = n
+    for j in (k, k + 1, 2 * k - 1, m - 1, m, len(i) - 1):
+        want = _binomial_tail_mpmath(n, int(i[j]))
+        assert abs(start[j] - want) <= 4e-14, (int(i[j]), start[j], want)
+    for j in (0, k + 1, 2 * k - 1, m - 1):
+        step = _tail_step(n, i[j : j + 1], dens[j : j + 1])[0]
+        want = _binomial_tail_mpmath(n, int(i[j]) + 1) - _binomial_tail_mpmath(n, int(i[j]))
+        assert abs(step - want) <= 1e-17, (int(i[j]), step, want)
 
 
 def test_beta_density_at_anchor_matches_exact():
