@@ -100,7 +100,9 @@ def _cmd_exact(args: argparse.Namespace) -> tuple[OutputRecord, int]:
     breakdown = total_moment_exact(q)
     params = {"n": str(args.n), "a": str(args.a), "per_sensor": str(args.per_sensor).lower()}
     if args.per_sensor:
-        shared = {id(e.e_total): e.e_total for e in breakdown.per_sensor}  # mirrors share e_total
+        # mirrors share their values, and for even a e_signed_part is e_total
+        shared = {id(x): x for e in breakdown.per_sensor
+                  for x in (e.e_total, e.e_signed_part, e.e_folded_part)}
         texts = {key: _frac(x) for key, x in shared.items()}
         columns = ["i", "t", "e_total", "e_signed_part", "e_folded_part", "e_total_approx"]
         rows = [
@@ -108,8 +110,8 @@ def _cmd_exact(args: argparse.Namespace) -> tuple[OutputRecord, int]:
                 "i": str(e.i),
                 "t": _frac(e.t),
                 "e_total": texts[id(e.e_total)],
-                "e_signed_part": _frac(e.e_signed_part),
-                "e_folded_part": _frac(e.e_folded_part),
+                "e_signed_part": texts[id(e.e_signed_part)],
+                "e_folded_part": texts[id(e.e_folded_part)],
                 "e_total_approx": _flt(float(e.e_total)),
             }
             for e in breakdown.per_sensor

@@ -1,24 +1,27 @@
 """Monte Carlo oracle: drop n uniform sensors, move them to the anchors,
 measure the summed a-th power displacement.
 
-Trials draw from counter-based Philox substreams: trial block b uses the
-stream with key = seed and 256-bit counter b << 128, and each trial owns a
-fixed row of its block's draw matrix.  Trial costs therefore depend only on
-(seed, trial index), and the final reduction is an exactly-rounded sum over
-trial order, so results are bit-identical for any worker count.
+Trial block b (4096 trials) draws from its own SFC64 stream,
+SeedSequence(seed, spawn_key=(b,)), one cache-sized tile at a time, and each
+trial owns a fixed row of its block's draws.  Trial costs therefore depend
+only on (seed, trial index), and the final reduction is an exactly-rounded sum
+over trial order, so results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 __all__ = ["SimulationConfig", "SimulationResult", "estimate"]
 
 _BLOCK = 4096  # trials per substream block; fixed so layout never depends on workers
+_TILE_BYTES = 1 << 19  # draws reduced per pass; best or tied among 128 KiB-2 MiB
 
 
 @dataclass(frozen=True)
@@ -52,21 +55,33 @@ class SimulationResult:
 def _costs_from_uniforms(u: np.ndarray, a: int) -> np.ndarray:
     """Per-trial cost rows: sort each row, sum |X_(i) - (2i-1)/(2n)|^a.
 
-    Works in place: u is overwritten, so a block needs no second copy.
+    Works in place: u is overwritten, so a tile needs no second copy.
     """
     n = u.shape[1]
     anchors = (2.0 * np.arange(1, n + 1) - 1.0) / (2 * n)
     u.sort(axis=1)
     u -= anchors
     np.abs(u, out=u)
-    u **= a
+    if a != 1:
+        u **= a
     return u.sum(axis=1)
 
 
 def _block_costs(seed: int, block: int, rows: int, n: int, a: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(key=seed, counter=block << 128))
-    u = rng.random((rows, n))
-    return _costs_from_uniforms(u, a)
+    """Costs of one block's trials, drawn and reduced one reusable tile at a time."""
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(block,))))
+    step = max(1, _TILE_BYTES // (8 * n))
+    tile = np.empty((min(step, rows), n))
+    costs = np.empty(rows)
+    for start in range(0, rows, step):
+        u = tile[:rows - start]
+        rng.random(out=u)
+        costs[start:start + len(u)] = _costs_from_uniforms(u, a)
+    return costs
+
+
+def _span_costs(seed: int, span: list[tuple[int, int]], n: int, a: int) -> np.ndarray:
+    return np.concatenate([_block_costs(seed, b, rows, n, a) for b, rows in span])
 
 
 def estimate(config: SimulationConfig) -> SimulationResult:
@@ -74,17 +89,20 @@ def estimate(config: SimulationConfig) -> SimulationResult:
     trials, n, a, seed = config.trials, config.n, config.a, config.seed
     blocks = [(b, min(_BLOCK, trials - b * _BLOCK))
               for b in range((trials + _BLOCK - 1) // _BLOCK)]
-    if config.workers == 1 or len(blocks) == 1:
-        parts = [_block_costs(seed, b, rows, n, a) for b, rows in blocks]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(config.workers, len(blocks), cpus or 1)
+    if workers == 1:
+        costs = _span_costs(seed, blocks, n, a)
     else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = [pool.submit(_block_costs, seed, b, rows, n, a) for b, rows in blocks]
-            parts = [f.result() for f in futures]
-    costs = np.concatenate(parts)
+        spans = [blocks[k * len(blocks) // workers:(k + 1) * len(blocks) // workers]
+                 for k in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            costs = np.concatenate(list(pool.map(partial(_span_costs, seed, n=n, a=a), spans)))
     mean = math.fsum(costs) / trials
     if trials > 1:
-        dev = costs - mean
-        var = math.fsum(dev * dev) / (trials - 1)
+        costs -= mean  # squared deviations in place: no trial-sized temporaries
+        costs *= costs
+        var = math.fsum(costs) / (trials - 1)
         std_error = math.sqrt(var / trials)
     else:
         std_error = 0.0

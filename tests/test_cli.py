@@ -66,6 +66,23 @@ def test_exact_per_sensor_formats_each_shared_total_once(capsys, monkeypatch):
     assert len({id(x) for x in formatted}) == len(formatted)
 
 
+def test_exact_per_sensor_formats_even_order_signed_part_once(capsys, monkeypatch):
+    # for even a, e_signed_part is the same Fraction as e_total
+    formatted = []
+
+    def recording_frac(x):
+        formatted.append(x)
+        return _frac(x)
+
+    monkeypatch.setattr(cli, "_frac", recording_frac)
+    code, out, _ = run_cli(capsys, "exact", "--n", "10", "--a", "2",
+                           "--per-sensor", "--format", "csv", "--no-timestamp")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert all(r["e_signed_part"] == r["e_total"] for r in rows[:-1])
+    assert len({id(x) for x in formatted}) == len(formatted)
+
+
 def test_exact_invalid_n_exits_2(capsys):
     code, _, _ = run_cli(capsys, "exact", "--n", "0", "--a", "1")
     assert code == 2

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from anchor_moments import simulation
 from anchor_moments.moments import MomentQuery, total_moment_exact
 from anchor_moments.simulation import (
+    _TILE_BYTES,
     SimulationConfig,
     SimulationResult,
+    _block_costs,
     _costs_from_uniforms,
     estimate,
 )
@@ -70,12 +73,15 @@ def test_estimate_deterministic_for_fixed_seed():
     assert first == second
 
 
-def test_estimate_worker_count_invariant():
-    base = estimate(SimulationConfig(n=5, a=1, trials=12_345, seed=9, workers=1))
-    multi = estimate(SimulationConfig(n=5, a=1, trials=12_345, seed=9, workers=3))
-    assert base.mean == multi.mean
-    assert base.std_error == multi.std_error
-    assert base.ci95 == multi.ci95
+def test_estimate_worker_count_invariant(monkeypatch):
+    # 5 blocks split into spans of 2+3 and 1+2+2 blocks
+    monkeypatch.setattr(simulation.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    base, *multi = [estimate(SimulationConfig(n=5, a=1, trials=4 * 4096 + 7, seed=9, workers=w))
+                    for w in (1, 2, 3)]
+    for other in multi:
+        assert base.mean == other.mean
+        assert base.std_error == other.std_error
+        assert base.ci95 == other.ci95
 
 
 def test_estimate_seed_changes_result():
@@ -107,3 +113,67 @@ def test_estimate_unbiased_against_exact(n, a):
     exact = float(total_moment_exact(MomentQuery(n, a)).total)
     res = estimate(SimulationConfig(n=n, a=a, trials=1_000_000, seed=2026))
     assert abs(res.mean - exact) <= 5 * res.std_error
+
+
+# --- tiled kernel, block streams and the process pool --------------------------
+
+
+@pytest.mark.parametrize("rows,n,a", [
+    (4096, 50, 1),                  # 4096 rows are not a whole number of 1310-row tiles
+    (100, 50, 3),                   # fewer rows than one tile
+    (3, _TILE_BYTES // 8 + 3, 2),   # a row longer than a tile: one row per tile
+])
+def test_block_costs_match_one_untiled_draw(rows, n, a):
+    seed, block = 31, 4
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(block,))))
+    expected = _costs_from_uniforms(rng.random((rows, n)), a)
+    assert np.array_equal(_block_costs(seed, block, rows, n, a), expected)
+
+
+def test_block_streams_are_pinned():
+    # literal values: a change of the generator, its seeding or the block layout fails here
+    assert _block_costs(0, 0, 3, 5, 1).tolist() == [
+        0.3578391423344671, 0.667411740408461, 0.6474029010611639]
+    assert _block_costs(0, 1, 1, 5, 1).tolist() == [0.4022156107663387]
+    assert estimate(SimulationConfig(n=3, a=2, trials=4097, seed=0)).mean == 0.1383484877724045
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor, records its size and starts no process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("cpus,trials,sizes", [
+    (64, 5 * 4096, [5]),    # capped by the number of blocks
+    (2, 300 * 4096, [2]),   # capped by the CPUs this process may use
+    (64, 4096, []),         # one block runs in this process
+])
+def test_pool_size_is_capped(monkeypatch, cpus, trials, sizes):
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.setattr(simulation.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    result = estimate(SimulationConfig(n=1, a=1, trials=trials, seed=3, workers=100_000))
+    assert _InProcessPool.sizes == sizes
+    assert result == estimate(SimulationConfig(n=1, a=1, trials=trials, seed=3))
+
+
+def test_pool_size_falls_back_to_cpu_count(monkeypatch):
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(_InProcessPool, "sizes", [])
+    monkeypatch.delattr(simulation.os, "sched_getaffinity")
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: 3)
+    estimate(SimulationConfig(n=1, a=1, trials=10 * 4096, seed=3, workers=100_000))
+    assert _InProcessPool.sizes == [3]
