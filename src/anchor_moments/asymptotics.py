@@ -18,9 +18,9 @@ from fractions import Fraction
 import numpy as np
 
 from .combinatorics import rising_factorial
-from .moments import (EXACT_N_GUARD, MomentQuery, SizeGuardError, _binomial_tail,
-                      _moment_denominator, _scaled_left_moment, beta_density_at_anchor,
-                      total_moment_float)
+from .moments import (_CHUNK, EXACT_N_GUARD, MomentQuery, SizeGuardError, _anchor_terms,
+                      _binomial_tail, _exact_sum, _moment_denominator, _scaled_left_moment,
+                      beta_density_at_anchor, total_moment_float)
 from .special_functions import HalfIntValue, beta_exact, gamma_half_int
 
 __all__ = [
@@ -142,16 +142,18 @@ def abel_anchor_sum(n: int, c: float) -> float:
     """Diagnostic sum 4: sum_i 2i C(n,i) (1-t_i)^(n-i+1) t_i^(i+c), float.
 
     Grows like n^(3/2) * (2/sqrt(2 pi)) * B(c+3/2, 3/2).  Each term is
-    2 f_i(t_i) t_i^(c+1) (1-t_i) with f_i the Beta(i, n-i+1) density, so the
-    sum is exactly rounded from terms good to about 1e-15, up to n = 10^7.
+    2 f_i(t_i) t_i^(c+1) (1-t_i) with f_i the Beta(i, n-i+1) density; summed exactly in
+    passes of _CHUNK sensors and rounded once, from terms good to about 1e-15, up to n = 10^7.
     """
     if not 1 <= n <= 10**7:
         raise ValueError("n must lie in [1, 10^7]")
     if not 0 <= c < math.inf:  # also refuses NaN
         raise ValueError("c must lie in [0, inf)")
-    i = np.arange(1, n + 1, dtype=np.float64)
-    t, one_minus_t = (2.0 * i - 1.0) / (2 * n), (2.0 * (n - i) + 1.0) / (2 * n)
-    return math.fsum(2.0 * beta_density_at_anchor(n, i) * t ** (c + 1) * one_minus_t)
+    total = Fraction(0)
+    for lo in range(1, n + 1, _CHUNK):
+        i, t, one_minus_t = _anchor_terms(n, lo, min(lo + _CHUNK, n + 1))
+        total += _exact_sum(2.0 * beta_density_at_anchor(n, i) * t ** (c + 1) * one_minus_t)
+    return float(total)
 
 
 def diagonal_coefficients(a: int) -> CoefficientSet:

@@ -223,6 +223,37 @@ def total_moment_exact(q: MomentQuery) -> MomentBreakdown:
 
 # --- float route -----------------------------------------------------------
 
+_CHUNK = 2**14  # a multiple of _ANCHOR_EVERY, so float-route passes start on chain anchors
+
+
+def _exact_sum(x: np.ndarray) -> Fraction:
+    """Exact sum of a float array, in passes of _CHUNK; float() of it is math.fsum(x).
+
+    np.frexp gives x = M 2^(e-53), M an integer below 2^53 in size, split as hi 2^26 + lo
+    with |hi| <= 2^27 and 0 <= lo < 2^26.  np.bincount over e sums each part exactly in
+    floats, for up to 2^26 values a pass; a Python int collects the passes in units of
+    2^-1126, the smallest 2^(e-53) of a double.
+    """
+    total = 0
+    for lo in range(0, len(x), _CHUNK):
+        m, e = np.frexp(x[lo:lo + _CHUNK])
+        if not np.isfinite(m).all():
+            raise ValueError("exact sum needs finite values")
+        m = np.ldexp(m, 27)
+        hi = np.floor(m)
+        e += 1073
+        hi_sums, lo_sums = np.bincount(e, hi), np.bincount(e, (m - hi) * 2.0**26)
+        bins = np.flatnonzero((hi_sums != 0) | (lo_sums != 0))
+        for b, hs, ls in zip(bins.tolist(), hi_sums[bins].tolist(), lo_sums[bins].tolist()):
+            total += ((int(hs) << 26) + int(ls)) << b
+    return Fraction(total, 1 << 1126)
+
+
+def _anchor_terms(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sensors i = lo..hi-1 as a float array, with t_i and 1 - t_i (formed exactly)."""
+    i = np.arange(lo, hi, dtype=np.float64)
+    return i, (2.0 * i - 1.0) / (2 * n), (2.0 * (n - i) + 1.0) / (2 * n)
+
 
 with localcontext(Context(prec=40)):  # log(k!) - log(sqrt(2 pi k) (k/e)^k), k = 1..15
     _STIRLERR_SMALL = np.array([0.0] + [
@@ -319,33 +350,44 @@ def total_moment_float(q: MomentQuery) -> FloatMomentBreakdown:
     and 2 L_a - E(t-X)^a the odd totals; L_0 comes from _left_tail_start.  A
     mirrored sensor's folded part is twice the right tail L_a - E(t-X)^a, or, where
     that difference would keep less than one digit (the top sensors), twice a positive series.
+    The computed half runs in passes of _CHUNK sensors, written with their mirror images
+    straight into the output arrays.  Each field is formed elementwise, each pass starts on
+    a chain anchor, and the total is the exact sum rounded once: the bits do not depend on _CHUNK.
     """
     n, a = q.n, q.a
     if n > 10**7:
         raise ValueError("float path supports n <= 10^7")
-    i = np.arange(n // 2 + 1, n + 1, dtype=np.float64)
-    t = (2.0 * i - 1.0) / (2 * n)
-    one_minus_t = (2.0 * (n - i) + 1.0) / (2 * n)  # exact, unlike 1.0 - t
-    h = (2.0 * i - 1.0 - n) / (2 * n)  # t - 1/2
-    tq = t * one_minus_t
-    full = _left_moment(n, a, tq, h, 0.0, 1.0)
+    e_total = np.empty(n)
+    e_signed = np.empty(n) if q.odd else e_total
+    e_folded = np.empty(n) if q.odd else np.zeros(n)
 
-    def mirrored(upper: np.ndarray, lower: np.ndarray) -> np.ndarray:
-        return np.concatenate((lower[::-1][: n // 2], upper))
+    def put(out: np.ndarray, lo: int, upper: np.ndarray, lower: np.ndarray) -> None:
+        # sensor i sits at i - 1, its mirror at n - i; the middle of odd n keeps `upper`
+        out[n + 1 - lo - len(lower): n + 1 - lo] = lower[::-1]
+        out[lo - 1: lo - 1 + len(upper)] = upper
 
-    upper_total = full
-    if q.odd:
-        dens = beta_density_at_anchor(n, i)
-        left = _left_moment(n, a, tq, h, tq * dens, _left_tail_start(n, i, one_minus_t, dens))
-        right = left - full
-        lost = full > 0.9 * left
-        if lost.any():
-            k = int(np.argmax(lost))
-            right[k:] = _right_moment_series(n, a, i[k:], t[k:], one_minus_t[k:], tq[k:] * dens[k:])
-        upper_total = 2.0 * left - full
-    total = math.fsum(np.append(upper_total[: n % 2], 2.0 * upper_total[n % 2:]))  # middle once
-    e_total = mirrored(upper_total, upper_total)
-    e_signed = mirrored(-full, full) if q.odd else e_total
-    e_folded = 2.0 * mirrored(left, right) if q.odd else np.zeros(n)
+    upper_sum, series_from = Fraction(0), n + 1
+    for lo in range(n // 2 + 1, n + 1, _CHUNK):
+        i, t, one_minus_t = _anchor_terms(n, lo, min(lo + _CHUNK, n + 1))
+        h = (2.0 * i - 1.0 - n) / (2 * n)  # t - 1/2
+        tq = t * one_minus_t
+        full = upper = _left_moment(n, a, tq, h, 0.0, 1.0)
+        if q.odd:
+            dens = beta_density_at_anchor(n, i)
+            left = _left_moment(n, a, tq, h, tq * dens, _left_tail_start(n, i, one_minus_t, dens))
+            upper = 2.0 * left - full
+            put(e_signed, lo, -full, full)
+            put(e_folded, lo, 2.0 * left, 2.0 * (left - full))
+            lost = full > 0.9 * left  # false at the middle of odd n (full = 0): it keeps 2 L_a
+            if series_from > n and lost.any():
+                series_from = lo + int(np.argmax(lost))
+        put(e_total, lo, upper, upper)
+        upper_sum += _exact_sum(upper)
+    if series_from <= n:
+        i, t, one_minus_t = _anchor_terms(n, series_from, n + 1)
+        right = _right_moment_series(n, a, i, t, one_minus_t,
+                                     t * one_minus_t * beta_density_at_anchor(n, i))
+        e_folded[: n + 1 - series_from] = 2.0 * right[::-1]
+    total = float(2 * upper_sum - _exact_sum(e_total[n // 2: n - n // 2]))  # middle sensor once
     return FloatMomentBreakdown(n=n, a=a, e_total=e_total, e_signed_part=e_signed,
                                 e_folded_part=e_folded, total=total)

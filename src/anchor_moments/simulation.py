@@ -18,6 +18,8 @@ from functools import partial
 
 import numpy as np
 
+from .moments import _exact_sum
+
 __all__ = ["SimulationConfig", "SimulationResult", "estimate"]
 
 _BLOCK = 4096  # trials per substream block; fixed so layout never depends on workers
@@ -98,11 +100,11 @@ def estimate(config: SimulationConfig) -> SimulationResult:
                  for k in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             costs = np.concatenate(list(pool.map(partial(_span_costs, seed, n=n, a=a), spans)))
-    mean = math.fsum(costs) / trials
+    mean = float(_exact_sum(costs)) / trials
     if trials > 1:
         costs -= mean  # squared deviations in place: no trial-sized temporaries
         costs *= costs
-        var = math.fsum(costs) / (trials - 1)
+        var = float(_exact_sum(costs)) / (trials - 1)
         std_error = math.sqrt(var / trials)
     else:
         std_error = 0.0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from anchor_moments import moments
 from anchor_moments.moments import (
     EXACT_N_GUARD,
     MomentQuery,
@@ -18,6 +20,8 @@ from anchor_moments.moments import (
     total_moment_float,
     _ANCHOR_EVERY,
     _CHAIN_MIN_VAR,
+    _CHUNK,
+    _exact_sum,
     _left_tail_start,
     _tail_step,
 )
@@ -297,6 +301,78 @@ def test_float_total_is_the_rounded_sum_of_its_sensors():
         for a in (1, 2, 9):
             bd = total_moment_float(MomentQuery(n, a))
             assert bd.total == math.fsum(bd.e_total)
+
+
+def _float_bytes(n: int, a: int) -> tuple[bytes, ...]:
+    bd = total_moment_float(MomentQuery(n, a))
+    return (bd.e_total.tobytes(), bd.e_signed_part.tobytes(), bd.e_folded_part.tobytes(),
+            bd.total.hex().encode())
+
+
+@pytest.mark.parametrize("n,a", [(3 * 128 + 5, 1), (3 * 128 + 5, 2), (3 * 128 + 5, 9),
+                                 (3 * 128 + 6, 9), (2 * 2**14 + 2 * 128 + 1, 1),
+                                 (2 * 2**14 + 2 * 128 + 1, 2), (2 * 2**14 + 2 * 128 + 1, 9),
+                                 (2 * 2**14 + 2 * 128 + 2, 1), (33350, 9)])
+def test_float_bits_do_not_depend_on_the_chunk_size(monkeypatch, n, a):
+    # passes must start on the lattice chain's anchors, and the series must cover
+    # every sensor from the first one where the difference loses its digits
+    assert _CHUNK % _ANCHOR_EVERY == 0
+    want = _float_bytes(n, a)
+    for chunk in (128, n):
+        monkeypatch.setattr(moments, "_CHUNK", chunk)
+        assert _float_bytes(n, a) == want, chunk
+
+
+def test_float_chunk_cases_cover_a_series_across_passes():
+    n, chunk = 33350, 128
+    bd = total_moment_float(MomentQuery(n, 9))
+    full, left = -bd.e_signed_part[n // 2:], bd.e_folded_part[n // 2:] / 2
+    k = int(np.argmax(full > 0.9 * left))  # where the series takes over in the computed half
+    assert 0 < k < (n - n // 2 - 1) // chunk * chunk - chunk // 4  # well before the last pass
+
+
+def test_float_route_temporaries_stay_small():
+    total_moment_float(MomentQuery(1000, 1))  # warm imports and caches
+    tracemalloc.start()
+    try:
+        total_moment_float(MomentQuery(10**6, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20  # 24 MB of output arrays
+
+
+_TINY = 5e-324
+
+
+@pytest.mark.parametrize("x", [
+    [1e100, 1.0, -1e100],
+    [_TINY, -_TINY, 3 * _TINY, 2.2250738585072014e-308, -1e-310, 1e-300],
+    [0.0, -0.0, 0.0],
+    [-0.0],
+    [],
+    [0.1],
+    [1.7976931348623157e308, -1.7976931348623157e308, 1e308, 2.0**-1074],
+    [1.0, 2.0**-53],  # ties, rounded to even: down, then up
+    [1.0 + 2.0**-52, 2.0**-53],
+    [1.0, 2.0**-53, -2.0**-106],  # just below and just above a tie
+    [1.0, 2.0**-53, 2.0**-106],
+    list(np.random.default_rng(1).standard_normal(999) * 2.0 ** np.random.default_rng(2)
+         .integers(-60, 61, 999)),
+    list(np.random.default_rng(3).uniform(-1, 1, 3 * 2**14 + 17) * 1e20),
+    [1.0] * (2 * 2**14 + 1) + [-1e16, 1e16],
+    [-(2.0 - 2.0**-52)] * (2**14 + 5) + [1e-30],  # the largest mantissas, one full pass
+])
+def test_exact_sum_is_fsum(x):
+    assert float(_exact_sum(np.array(x, dtype=np.float64))).hex() == math.fsum(x).hex()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_exact_sum_refuses_non_finite_values(bad):
+    x = np.ones(2**14 + 3)
+    x[2**14 + 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        _exact_sum(x)
 
 
 def _chained_prefix(n: int) -> tuple[np.ndarray, int]:
