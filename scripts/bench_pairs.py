@@ -91,8 +91,9 @@ def main(argv: list[str] | None = None) -> int:
         for p, seed in enumerate(seeds):
             for side in SIDES if p % 2 == 0 else SIDES[::-1]:
                 runs[side].append(_run(trees[side], name, seed, args.seconds))
-                print(f"{name} pair {p + 1}/{len(seeds)} {side}: "
-                      f"work_s {runs[side][-1]['metrics']['work_s']['value']:.3f}", flush=True)
+                metrics = runs[side][-1]["metrics"]
+                print(f"{name} pair {p + 1}/{len(seeds)} {side}: " + ", ".join(
+                    f"{m} {metrics[m]['value']:.3f}" for m in METRICS), flush=True)
         workloads[name] = _summary(runs, seeds)
 
     report = {

@@ -12,8 +12,6 @@ import random
 from fractions import Fraction
 from typing import Callable
 
-from scipy.special import betainc
-
 from .asymptotics import IdentityCheckResult, verify_diagonal_beta_identity
 from .combinatorics import (
     binomial,
@@ -285,6 +283,7 @@ def check_beta_binomial_form() -> IdentityCheckResult:
 
 
 def check_float_beta_accuracy() -> IdentityCheckResult:
+    from scipy.special import betainc  # on first use: only this check needs scipy here
     rng = random.Random(_SEED + 4)
     worst = 0.0
     for _ in range(120):

@@ -31,7 +31,6 @@ from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import betainc as _betainc
 
 from .combinatorics import rising_factorial
 
@@ -329,6 +328,7 @@ def _tail_step(n: int, i: np.ndarray, dens: np.ndarray) -> np.ndarray:
 
 def _left_tail_start(n: int, i: np.ndarray, q: np.ndarray, dens: np.ndarray) -> np.ndarray:
     """L_0 = I(t_i; i, n-i+1), q = 1 - t; n t(1-t) = (i-1/2)(n-i+1/2)/n falls in i on this half."""
+    from scipy.special import betainc  # on first use: scipy is most of the CLI start-up
     m, k = int(np.count_nonzero((i - 0.5) * (n - i + 0.5) >= n * _CHAIN_MIN_VAR)), _ANCHOR_EVERY
     step = _tail_step(n, i[:m], dens[:m])
     rise = np.zeros(-(-m // k) * k)  # rise[j] = T_j - T_(j-1), 0 at the anchors
@@ -338,7 +338,7 @@ def _left_tail_start(n: int, i: np.ndarray, q: np.ndarray, dens: np.ndarray) -> 
     start = np.empty_like(i)
     # 1 - I(1-t; n-i+1, i) takes the exact 1 - t, where one ulp of t costs n ulps
     # at the top; L_0 lies in [0.39, 0.61], so the subtraction loses nothing
-    start[at] = 1.0 - _betainc(n - i[at] + 1, i[at], q[at])
+    start[at] = 1.0 - betainc(n - i[at] + 1, i[at], q[at])
     start[:m] = (start[:m:k, None] + np.cumsum(rise.reshape(-1, k), axis=1)).ravel()[:m]
     return start
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -96,6 +95,7 @@ def estimate(config: SimulationConfig) -> SimulationResult:
     if workers == 1:
         costs = _span_costs(seed, blocks, n, a)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # single-worker runs skip its import
         spans = [blocks[k * len(blocks) // workers:(k + 1) * len(blocks) // workers]
                  for k in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:

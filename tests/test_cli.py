@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -271,3 +275,41 @@ def test_byte_identical_output_modulo_timestamp(capsys):
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+# --- imports on first use ----------------------------------------------------
+
+_MODULES_AFTER_COMMANDS = """
+import contextlib, io, json, sys
+from anchor_moments.cli import main
+
+def loaded(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "--no-timestamp"]) == 0, argv
+    return {m: m in sys.modules for m in ("scipy", "concurrent.futures.process")}
+
+print(json.dumps([
+    loaded("exact", "--n", "7", "--a", "3", "--per-sensor"),
+    loaded("simulate", "--n", "7", "--a", "1", "--trials", "5000", "--workers", "1"),
+    loaded("lemma", "--id", "1", "--a", "3", "--grid", "10,100"),
+    loaded("lemma", "--id", "2", "--a", "1", "--n", "50"),
+    loaded("lemma", "--id", "4", "--c", "0", "--grid", "1000,10000"),
+    loaded("asymptotic", "--theorem", "1", "--a", "2", "--grid", "100,1000"),
+    loaded("identities", "--suite", "stirling"),
+    loaded("simulate", "--n", "7", "--a", "1", "--trials", "5000", "--workers", "2"),
+    loaded("asymptotic", "--theorem", "2", "--a", "3", "--grid", "100,1000"),
+]))
+"""
+
+
+def test_scipy_and_the_process_pool_load_only_when_used():
+    # one fresh interpreter: the test session itself has long since imported both
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER_COMMANDS], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    *single_worker, two_workers, odd_float = json.loads(proc.stdout)
+    assert all(seen == {"scipy": False, "concurrent.futures.process": False}
+               for seen in single_worker)
+    assert not two_workers["scipy"]
+    assert odd_float["scipy"]  # the float route's odd-order tail needs betainc

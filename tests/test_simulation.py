@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -162,7 +164,7 @@ class _InProcessPool:
     (64, 4096, []),         # one block runs in this process
 ])
 def test_pool_size_is_capped(monkeypatch, cpus, trials, sizes):
-    monkeypatch.setattr(simulation, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     monkeypatch.setattr(simulation.os, "sched_getaffinity", lambda pid: set(range(cpus)))
     result = estimate(SimulationConfig(n=1, a=1, trials=trials, seed=3, workers=100_000))
@@ -171,7 +173,7 @@ def test_pool_size_is_capped(monkeypatch, cpus, trials, sizes):
 
 
 def test_pool_size_falls_back_to_cpu_count(monkeypatch):
-    monkeypatch.setattr(simulation, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     monkeypatch.setattr(_InProcessPool, "sizes", [])
     monkeypatch.delattr(simulation.os, "sched_getaffinity")
     monkeypatch.setattr(simulation.os, "cpu_count", lambda: 3)
