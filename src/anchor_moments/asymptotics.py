@@ -123,7 +123,9 @@ def vanishing_tail_correction_sum(n: int, a: int) -> Fraction:
     integers, E(t_i - X_i)^a = m_i / ((2n)^a (n+1)^rising(a)) by the Pearson
     recurrence scaled by l_k = L_k (2n)^k (n+1)^rising(k), and the binomial tail
     I(t_i; i, n-i+1) = P(Bin(n, t_i) >= i) = S_i / (2n)^n.  So the sum is
-    sum_i m_i S_i / ((2n)^(n+a) (n+1)^rising(a)), exact, reduced once.
+    sum_i m_i S_i / ((2n)^(n+a) (n+1)^rising(a)), exact, reduced once.  Since
+    m_(n+1-i) = -m_i and S_(n+1-i) = (2n)^n - S_i, each pair gives
+    m_i (2 S_i - (2n)^n), summed over i > n/2 (the middle of odd n has m_i = 0).
     Normalized size n^((a-1)/2)|.| stays bounded.
     """
     if n < 1:
@@ -133,9 +135,10 @@ def vanishing_tail_correction_sum(n: int, a: int) -> Fraction:
     if n > EXACT_N_GUARD:
         raise SizeGuardError(
             f"tail-correction sum is exact-path only (n <= {EXACT_N_GUARD}, got {n})")
-    total = sum(_scaled_left_moment(n, a, i, 0, 1) * _binomial_tail(n, i)
-                for i in range(1, n + 1))
-    return Fraction(total, (2 * n) ** n * _moment_denominator(n, a))
+    scale = (2 * n) ** n
+    total = sum(_scaled_left_moment(n, a, i, 0, 1) * (2 * _binomial_tail(n, i) - scale)
+                for i in range(n // 2 + 1, n + 1))
+    return Fraction(total, scale * _moment_denominator(n, a))
 
 
 def abel_anchor_sum(n: int, c: float) -> float:

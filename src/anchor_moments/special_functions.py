@@ -3,8 +3,8 @@
 Half-integer Gamma and Beta values live in the ring of monomials
 q * sqrt(2)**s * sqrt(pi)**p with q rational, so identities between them can
 be verified exactly instead of to a tolerance.  The regularized incomplete
-Beta function has an exact rational path (integer parameters, rational z) and
-a one-step form of its parameter recurrence.
+Beta function at integer parameters and rational z is an exact, positive
+binomial tail in integers, and has a one-step form of its parameter recurrence.
 """
 
 from __future__ import annotations
@@ -161,34 +161,34 @@ def beta_exact(c: Rational, d: Rational) -> HalfIntValue:
     return gamma_half_int(c2) * gamma_half_int(d2) / gamma_half_int(c2 + d2)
 
 
+def _beta_tail(p: int, q: int, c: int, d: int) -> int:
+    """q^m I(p/q; c, d) = sum_(k>=c) C(m,k) p^k r^(m-k), m = c+d-1, r = q-p, exact.
+
+    I(z; c, d) = P(Bin(m, z) >= c).  The d terms have ratios
+    T_(k-1) / T_k = kr / ((m-k+1)p), so the sum times (m-c)! / p^c is
+    sum_(j=c..m) prod_(k=j+1..m) kr prod_(k=c+1..j) (m-k+1)p, summed in Horner
+    form with small multipliers only and divided once.  Every term is positive.
+    """
+    r = q - p
+    acc = prod = 1
+    for k in range(c + 1, c + d):
+        prod *= (c + d - k) * p
+        acc = acc * (k * r) + prod
+    return p**c * acc // math.factorial(d - 1)
+
+
 def incomplete_beta_regularized_exact(z: Rational, c: int, d: int) -> Fraction:
     """Regularized incomplete Beta I(z; c, d), exact rational.
 
-    Expands (1-x)^(d-1) binomially and integrates termwise; the alternating
-    sum is assembled over a single common denominator q^(c+d-1) * lcm(c..c+d-1)
-    so the whole evaluation is one big-integer pass plus one final reduction.
+    With z = p/q in lowest terms, I(z; c, d) = P(Bin(c+d-1, z) >= c), a positive
+    binomial tail: one integer over q^(c+d-1) (_beta_tail), reduced once.
     """
     z = Fraction(z)
     if not (0 <= z <= 1):
         raise ValueError("z must lie in [0, 1]")
     if c < 1 or d < 1:
         raise ValueError("c and d must be integers >= 1")
-    if z == 0:
-        return Fraction(0)
-    if z == 1:
-        return Fraction(1)
-    p, q = z.numerator, z.denominator
-    lcm = math.lcm(*range(c, c + d))
-    num = 0
-    p_pow = p**c
-    q_pow = q ** (d - 1)
-    for m in range(d):
-        term = math.comb(d - 1, m) * p_pow * q_pow * (lcm // (c + m))
-        num = num + term if m % 2 == 0 else num - term
-        p_pow *= p
-        if m < d - 1:
-            q_pow //= q
-    return Fraction(math.comb(c + d - 1, c) * c * num, q ** (c + d - 1) * lcm)
+    return Fraction(_beta_tail(z.numerator, z.denominator, c, d), z.denominator ** (c + d - 1))
 
 
 def incomplete_beta_step_down(z: Rational, c: int, d: int) -> Fraction:

@@ -13,7 +13,7 @@ from anchor_moments.asymptotics import (
     verify_diagonal_beta_identity,
 )
 from anchor_moments.moments import MomentQuery, per_sensor_moment_exact
-from anchor_moments.special_functions import HalfIntValue, incomplete_beta_regularized_exact
+from anchor_moments.special_functions import HalfIntValue
 
 # --- literal transcription oracles (independent nested loops, Fractions) --------
 
@@ -151,7 +151,7 @@ def test_tail_correction_is_half_the_base_split_piece():
         base_total = Fraction(0)
         for i in range(1, n + 1):
             t = Fraction(2 * i - 1, 2 * n)
-            reg = incomplete_beta_regularized_exact(t, i, n - i + 1)
+            reg = i * math.comb(n, i) * _left_tail_integral(n, i)  # I(t; i, n-i+1)
             for j in range(a + 1):
                 beta = Fraction(1, math.comb(n + j, i + j) * (i + j))
                 base_total += (2 * i * math.comb(n, i) * math.comb(a, j) * (-1) ** j

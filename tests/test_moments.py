@@ -25,7 +25,7 @@ from anchor_moments.moments import (
     _left_tail_start,
     _tail_step,
 )
-from anchor_moments.special_functions import beta_exact, incomplete_beta_regularized_exact
+from anchor_moments.special_functions import beta_exact
 
 # --- independent oracles -------------------------------------------------------
 
@@ -47,6 +47,16 @@ def quadrature_total(n: int, a: int) -> float:
     return total
 
 
+def ibeta_literal(z: Fraction, c: int, d: int) -> Fraction:
+    """I(z; c, d) = 1/B(c,d) int_0^z x^(c-1)(1-x)^(d-1) dx, by literal termwise
+    integration of the binomially expanded (1-x)^(d-1); z = p/q, each term over q^(c+d-1)."""
+    p, q = z.numerator, z.denominator
+    acc = Fraction(0)
+    for m in range(d):
+        acc += Fraction(math.comb(d - 1, m) * (-1) ** m * p ** (c + m) * q ** (d - 1 - m), c + m)
+    return math.comb(c + d - 1, c) * c * acc / q ** (c + d - 1)
+
+
 def direct_sensor_moment(q: MomentQuery, i: int) -> SensorMoment:
     """Per-sensor moment with one exact I(t_i; i+j, n-i+1) per j, no
     recurrence and no reflection."""
@@ -59,7 +69,7 @@ def direct_sensor_moment(q: MomentQuery, i: int) -> SensorMoment:
         bv = beta_exact(i + j, n - i + 1).rational
         signed += math.comb(a, j) * (-t) ** (a - j) * bv
         if q.odd:
-            reg = incomplete_beta_regularized_exact(t, i + j, n - i + 1)
+            reg = ibeta_literal(t, i + j, n - i + 1)
             folded += 2 * math.comb(a, j) * (-1) ** j * t ** (a - j) * bv * reg
     signed *= prefactor
     folded *= prefactor

@@ -141,6 +141,11 @@ def test_incomplete_beta_examples():
 def test_incomplete_beta_endpoints():
     assert incomplete_beta_regularized_exact(Fraction(0), 3, 2) == 0
     assert incomplete_beta_regularized_exact(Fraction(1), 3, 2) == 1
+    # z = 0 and z = 1 go through the binomial tail like any other z
+    for c in range(1, 21):
+        for d in range(1, 21):
+            assert incomplete_beta_regularized_exact(Fraction(0), c, d) == 0
+            assert incomplete_beta_regularized_exact(Fraction(1), c, d) == 1
 
 
 def test_incomplete_beta_domain_errors():
@@ -164,6 +169,12 @@ def test_incomplete_beta_matches_binomial_tail_oracle():
         for c in range(1, 15):
             for d in range(1, 15):
                 assert incomplete_beta_regularized_exact(z, c, d) == ibeta_binomial_tail(z, c, d)
+    # the sizes the exact route runs: I(t_i; i, n-i+1), t_i = (2i-1)/(2n)
+    for n in (200, 201):
+        for i in (1, 2, n // 2, n // 2 + 1, n - 1, n):
+            z = Fraction(2 * i - 1, 2 * n)
+            assert incomplete_beta_regularized_exact(z, i, n - i + 1) == \
+                ibeta_binomial_tail(z, i, n - i + 1)
 
 
 @settings(max_examples=80)
