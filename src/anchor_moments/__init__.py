@@ -52,3 +52,6 @@ from .special_functions import (
     incomplete_beta_step_down,
     stirling_bounds,
 )
+
+# the names imported above and the five submodules: what `import *` binds
+__all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,0 +1,200 @@
+"""Float route of moments.py, on numpy arrays.  moments.total_moment_float and
+moments.beta_density_at_anchor load it on first call, so the exact route and the
+CLI start without numpy."""
+
+from __future__ import annotations
+
+import math
+from decimal import Context, Decimal, localcontext
+from fractions import Fraction
+
+import numpy as np
+
+from .moments import FloatMomentBreakdown, MomentQuery
+
+_CHUNK = 2**14  # a multiple of _ANCHOR_EVERY, so float-route passes start on chain anchors
+
+
+def _exact_sum(x: np.ndarray) -> Fraction:
+    """Exact sum of a float array, in passes of _CHUNK; float() of it is math.fsum(x).
+
+    np.frexp gives x = M 2^(e-53), M an integer below 2^53 in size, split as hi 2^26 + lo
+    with |hi| <= 2^27 and 0 <= lo < 2^26.  np.bincount over e sums each part exactly in
+    floats, for up to 2^26 values a pass; a Python int collects the passes in units of
+    2^-1126, the smallest 2^(e-53) of a double.
+    """
+    total = 0
+    for lo in range(0, len(x), _CHUNK):
+        m, e = np.frexp(x[lo:lo + _CHUNK])
+        if not np.isfinite(m).all():
+            raise ValueError("exact sum needs finite values")
+        m = np.ldexp(m, 27)
+        hi = np.floor(m)
+        e += 1073
+        hi_sums, lo_sums = np.bincount(e, hi), np.bincount(e, (m - hi) * 2.0**26)
+        bins = np.flatnonzero((hi_sums != 0) | (lo_sums != 0))
+        for b, hs, ls in zip(bins.tolist(), hi_sums[bins].tolist(), lo_sums[bins].tolist()):
+            total += ((int(hs) << 26) + int(ls)) << b
+    return Fraction(total, 1 << 1126)
+
+
+def _anchor_terms(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sensors i = lo..hi-1 as a float array, with t_i and 1 - t_i (formed exactly)."""
+    i = np.arange(lo, hi, dtype=np.float64)
+    return i, (2.0 * i - 1.0) / (2 * n), (2.0 * (n - i) + 1.0) / (2 * n)
+
+
+with localcontext(Context(prec=40)):  # log(k!) - log(sqrt(2 pi k) (k/e)^k), k = 1..15
+    _STIRLERR_SMALL = np.array([0.0] + [
+        float(Decimal(math.factorial(k)).ln() + k - (k + Decimal("0.5")) * Decimal(k).ln()
+              - Decimal("0.9189385332046727417803297364056176398614")) for k in range(1, 16)])
+
+
+def _stirlerr(k: np.ndarray | int) -> np.ndarray:
+    """Stirling remainder of integer-valued k; past 15 the sixth series term is below 1e-16."""
+    k = np.atleast_1d(np.asarray(k, dtype=np.float64))
+    kk = np.maximum(k, 16.0) ** 2
+    out = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * kk)) / kk) / kk) / kk)
+    out /= np.sqrt(kk)
+    small = k <= 15
+    out[small] = _STIRLERR_SMALL[k[small].astype(np.int64)]
+    return out
+
+
+def beta_density_at_anchor(n: int, i: np.ndarray) -> np.ndarray:
+    """Density of X_i ~ Beta(i, n-i+1) at t_i, for an array of indices i.
+
+    f(t_i) = n P(Bin(n-1, t_i) = i-1) in Loader's saddle-point form (C. Loader,
+    Fast and Accurate Computation of Binomial Probabilities, 2000).  The count
+    i-1 misses its mean by d = (2i-n-1)/(2n), formed exactly; |d| < 1/2 keeps
+    the log1p form of both deviances accurate.  At i = 1 and i = n it is one power.
+    """
+    x, y = i - 1.0, n - i
+    d = (2.0 * i - n - 1.0) / (2 * n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_core = (_stirlerr(n - 1) - _stirlerr(x) - _stirlerr(y)
+                    + x * np.log1p(-d / x) + y * np.log1p(d / y))
+        dens = n * np.exp(log_core) * np.sqrt((n - 1) / (2 * math.pi * x * y))
+    ends = (x == 0) | (y == 0)
+    gap = np.minimum(2.0 * i - 1.0, 2.0 * (n - i) + 1.0)[ends] / (2 * n)  # min(t, 1-t)
+    dens[ends] = n * np.exp((n - 1) * np.log1p(-gap))
+    return dens
+
+
+def _left_moment(n: int, a: int, tq, h, g, start):
+    """L_a = E[(t-X)^a; X < t], X ~ Beta(i, n-i+1), by the Pearson recurrence.
+
+    With tq = t(1-t), h = t - 1/2 and g = tq f(t), integrating (t-x)^k d[x(1-x) f(x)]
+    by parts, where (x(1-x) f)' = (i - (n+1)x) f and i - (n+1)t = -h, gives
+    (n+1) L_1 = g + h L_0 and (n+1+k) L_(k+1) = k tq L_(k-1) + (2k+1) h L_k.
+    g = 0 with L_0 = 1 gives E(t-X)^a.  For t >= 1/2 no term is negative.  It
+    runs on float arrays; moments._scaled_left_moment is its integer form.
+    """
+    prev, cur = start, (g + h * start) / (n + 1)
+    for k in range(1, a):
+        prev, cur = cur, (k * tq * prev + (2 * k + 1) * h * cur) / (n + 1 + k)
+    return cur
+
+
+def _right_moment_series(n: int, a: int, i: np.ndarray, t: np.ndarray, q: np.ndarray,
+                         g: np.ndarray) -> np.ndarray:
+    """E[(X-t)^a; X > t] for X ~ Beta(i, n-i+1), q = 1-t, g = t q f(t), as a positive series.
+
+    x = t + q y and the binomial expansion of x^(i-1) give q^a sum_r w_r with
+    w_0 = q f(t) B(a+1, m+1), m = n-i, and w_(r+1) = w_r b_r (a+r+1)/(a+r+m+2),
+    b_r = (i-1-r) q / ((r+1) t).  The weights follow Bin(i-1, q), of mean about
+    m + 1/2; once b_r <= 1/2 the rest of the sum is below the last term.
+    """
+    m = n - i
+    w = g / t * [math.factorial(a) * math.factorial(k) / math.factorial(a + k + 1)
+                 for k in m.astype(np.int64)]
+    acc, r = w.copy(), 0
+    while True:
+        b = (i - 1 - r) * q / ((r + 1) * t)
+        w = w * b * (a + r + 1) / (a + r + m + 2)
+        acc += w
+        r += 1
+        if np.all((b <= 0.5) & (w <= 2.0**-54 * acc)):
+            return q**a * acc
+
+
+_ANCHOR_EVERY, _CHAIN_MIN_VAR = 128, 400.0  # where betainc gives L_0: see _left_tail_start
+_STEP_RULE = [(0.5 + s * math.sqrt(3 / 7 + c * 2 / 7 * math.sqrt(6 / 5)) / 2,  # Gauss-Legendre
+               (18 - c * math.sqrt(30)) / 72) for c in (-1, 1) for s in (-1, 1)]  # on [0, 1]
+
+
+def _tail_step(n: int, i: np.ndarray, dens: np.ndarray) -> np.ndarray:
+    """T_(i+1) - T_i, T_i = I(t_i; i, n-i+1) = P(Bin(n, t_i) >= i), dens = f_i(t_i): the integral
+    of f_i from t_i to t_(i+1) = t_i + 1/n, less pmf_i(t_(i+1)) = (2i+1)/(2i) f_i(t_(i+1)) / n,
+    with f_i(t_i + x/n) = f_i(t_i) e^phi(x), phi(x) = (i-1) log1p(2x/P) + (n-i) log1p(-2x/Q)."""
+    def phi(x: float) -> np.ndarray:  # i - 1/2 = P/2, n - i + 1/2 = Q/2
+        return (i - 1) * np.log1p(x / (i - 0.5)) + (n - i) * np.log1p(-x / (n - i + 0.5))
+    quad = sum(w * np.expm1(phi(x)) for x, w in _STEP_RULE)
+    return dens / n * (quad - (2 * i + 1) / (2 * i) * np.expm1(phi(1.0)) - 1 / (2 * i))
+
+
+def _left_tail_start(n: int, i: np.ndarray, q: np.ndarray, dens: np.ndarray) -> np.ndarray:
+    """L_0 = I(t_i; i, n-i+1), q = 1 - t; n t(1-t) = (i-1/2)(n-i+1/2)/n falls in i on this half."""
+    from scipy.special import betainc  # on first use: scipy is most of the CLI start-up
+    m, k = int(np.count_nonzero((i - 0.5) * (n - i + 0.5) >= n * _CHAIN_MIN_VAR)), _ANCHOR_EVERY
+    step = _tail_step(n, i[:m], dens[:m])
+    rise = np.zeros(-(-m // k) * k)  # rise[j] = T_j - T_(j-1), 0 at the anchors
+    rise[1:m] = step[:-1]
+    rise[::k] = 0.0
+    at = np.r_[0:m:k, m:len(i)]
+    start = np.empty_like(i)
+    # 1 - I(1-t; n-i+1, i) takes the exact 1 - t, where one ulp of t costs n ulps
+    # at the top; L_0 lies in [0.39, 0.61], so the subtraction loses nothing
+    start[at] = 1.0 - betainc(n - i[at] + 1, i[at], q[at])
+    start[:m] = (start[:m:k, None] + np.cumsum(rise.reshape(-1, k), axis=1)).ravel()[:m]
+    return start
+
+
+def total_moment_float(q: MomentQuery) -> FloatMomentBreakdown:
+    """Float breakdown of the total expected cost, n up to 10^7.
+
+    E(t-X)^a gives the even orders and the signed parts, 2 L_a the folded parts
+    and 2 L_a - E(t-X)^a the odd totals; L_0 comes from _left_tail_start.  A
+    mirrored sensor's folded part is twice the right tail L_a - E(t-X)^a, or, where
+    that difference would keep less than one digit (the top sensors), twice a positive series.
+    The computed half runs in passes of _CHUNK sensors, written with their mirror images
+    straight into the output arrays.  Each field is formed elementwise, each pass starts on
+    a chain anchor, and the total is the exact sum rounded once: the bits do not depend on _CHUNK.
+    """
+    n, a = q.n, q.a
+    if n > 10**7:
+        raise ValueError("float path supports n <= 10^7")
+    e_total = np.empty(n)
+    e_signed = np.empty(n) if q.odd else e_total
+    e_folded = np.empty(n) if q.odd else np.zeros(n)
+
+    def put(out: np.ndarray, lo: int, upper: np.ndarray, lower: np.ndarray) -> None:
+        # sensor i sits at i - 1, its mirror at n - i; the middle of odd n keeps `upper`
+        out[n + 1 - lo - len(lower): n + 1 - lo] = lower[::-1]
+        out[lo - 1: lo - 1 + len(upper)] = upper
+
+    upper_sum, series_from = Fraction(0), n + 1
+    for lo in range(n // 2 + 1, n + 1, _CHUNK):
+        i, t, one_minus_t = _anchor_terms(n, lo, min(lo + _CHUNK, n + 1))
+        h = (2.0 * i - 1.0 - n) / (2 * n)  # t - 1/2
+        tq = t * one_minus_t
+        full = upper = _left_moment(n, a, tq, h, 0.0, 1.0)
+        if q.odd:
+            dens = beta_density_at_anchor(n, i)
+            left = _left_moment(n, a, tq, h, tq * dens, _left_tail_start(n, i, one_minus_t, dens))
+            upper = 2.0 * left - full
+            put(e_signed, lo, -full, full)
+            put(e_folded, lo, 2.0 * left, 2.0 * (left - full))
+            lost = full > 0.9 * left  # false at the middle of odd n (full = 0): it keeps 2 L_a
+            if series_from > n and lost.any():
+                series_from = lo + int(np.argmax(lost))
+        put(e_total, lo, upper, upper)
+        upper_sum += _exact_sum(upper)
+    if series_from <= n:
+        i, t, one_minus_t = _anchor_terms(n, series_from, n + 1)
+        right = _right_moment_series(n, a, i, t, one_minus_t,
+                                     t * one_minus_t * beta_density_at_anchor(n, i))
+        e_folded[: n + 1 - series_from] = 2.0 * right[::-1]
+    total = float(2 * upper_sum - _exact_sum(e_total[n // 2: n - n // 2]))  # middle sensor once
+    return FloatMomentBreakdown(n=n, a=a, e_total=e_total, e_signed_part=e_signed,
+                                e_folded_part=e_folded, total=total)

@@ -15,12 +15,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .combinatorics import rising_factorial
-from .moments import (_CHUNK, EXACT_N_GUARD, MomentQuery, SizeGuardError, _anchor_terms,
-                      _binomial_tail, _exact_sum, _moment_denominator, _scaled_left_moment,
-                      beta_density_at_anchor, total_moment_float)
+from .moments import (EXACT_N_GUARD, MomentQuery, SizeGuardError, _binomial_tail,
+                      _moment_denominator, _scaled_left_moment, beta_density_at_anchor,
+                      total_moment_float)
 from .special_functions import HalfIntValue, beta_exact, gamma_half_int
 
 __all__ = [
@@ -152,6 +150,7 @@ def abel_anchor_sum(n: int, c: float) -> float:
         raise ValueError("n must lie in [1, 10^7]")
     if not 0 <= c < math.inf:  # also refuses NaN
         raise ValueError("c must lie in [0, inf)")
+    from ._float_route import _CHUNK, _anchor_terms, _exact_sum  # numpy, on first use
     total = Fraction(0)
     for lo in range(1, n + 1, _CHUNK):
         i, t, one_minus_t = _anchor_terms(n, lo, min(lo + _CHUNK, n + 1))
@@ -239,6 +238,7 @@ def remainder_diagnostic(a: int, n_grid: list[int] | tuple[int, ...]) -> Asympto
     usable = [(math.log(n), math.log(abs(r))) for n, s, r in zip(grid, measured, residuals)
               if abs(r) > _FLOAT_NOISE_FLOOR * abs(s)]
     if len(usable) >= 2:
+        import numpy as np  # loaded already by the float totals above
         xs, ys = zip(*usable)
         slope = float(np.polyfit(xs, ys, 1)[0])
         degenerate = len(usable) < len(grid)

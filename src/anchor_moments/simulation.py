@@ -14,10 +14,10 @@ import math
 import os
 from dataclasses import dataclass
 from functools import partial
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .moments import _exact_sum
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["SimulationConfig", "SimulationResult", "estimate"]
 
@@ -58,6 +58,7 @@ def _costs_from_uniforms(u: np.ndarray, a: int) -> np.ndarray:
 
     Works in place: u is overwritten, so a tile needs no second copy.
     """
+    import numpy as np  # numpy loads on first use, here and below: the CLI starts without it
     n = u.shape[1]
     anchors = (2.0 * np.arange(1, n + 1) - 1.0) / (2 * n)
     u.sort(axis=1)
@@ -70,6 +71,7 @@ def _costs_from_uniforms(u: np.ndarray, a: int) -> np.ndarray:
 
 def _block_costs(seed: int, block: int, rows: int, n: int, a: int) -> np.ndarray:
     """Costs of one block's trials, drawn and reduced one reusable tile at a time."""
+    import numpy as np
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(block,))))
     step = max(1, _TILE_BYTES // (8 * n))
     tile = np.empty((min(step, rows), n))
@@ -82,11 +84,14 @@ def _block_costs(seed: int, block: int, rows: int, n: int, a: int) -> np.ndarray
 
 
 def _span_costs(seed: int, span: list[tuple[int, int]], n: int, a: int) -> np.ndarray:
+    import numpy as np
     return np.concatenate([_block_costs(seed, b, rows, n, a) for b, rows in span])
 
 
 def estimate(config: SimulationConfig) -> SimulationResult:
     """Mean cost over trials with standard error and a 1.96-sigma interval."""
+    import numpy as np
+    from ._float_route import _exact_sum
     trials, n, a, seed = config.trials, config.n, config.a, config.seed
     blocks = [(b, min(_BLOCK, trials - b * _BLOCK))
               for b in range((trials + _BLOCK - 1) // _BLOCK)]

@@ -281,35 +281,91 @@ def test_byte_identical_output_modulo_timestamp(capsys):
 
 _MODULES_AFTER_COMMANDS = """
 import contextlib, io, json, sys
-from anchor_moments.cli import main
+from anchor_moments.cli import build_parser, main
+from anchor_moments.identities import suite_names
 
 def loaded(*argv):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main([*argv, "--no-timestamp"]) == 0, argv
-    return {m: m in sys.modules for m in ("scipy", "concurrent.futures.process")}
+    if argv:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--no-timestamp"]) == 0, argv
+    return {m: m in sys.modules for m in ("numpy", "scipy", "concurrent.futures.process")}
 
-print(json.dumps([
-    loaded("exact", "--n", "7", "--a", "3", "--per-sensor"),
-    loaded("simulate", "--n", "7", "--a", "1", "--trials", "5000", "--workers", "1"),
-    loaded("lemma", "--id", "1", "--a", "3", "--grid", "10,100"),
-    loaded("lemma", "--id", "2", "--a", "1", "--n", "50"),
-    loaded("lemma", "--id", "4", "--c", "0", "--grid", "1000,10000"),
-    loaded("asymptotic", "--theorem", "1", "--a", "2", "--grid", "100,1000"),
-    loaded("identities", "--suite", "stirling"),
-    loaded("simulate", "--n", "7", "--a", "1", "--trials", "5000", "--workers", "2"),
-    loaded("asymptotic", "--theorem", "2", "--a", "3", "--grid", "100,1000"),
-]))
+build_parser()
+print(json.dumps({
+    "numpy_free": [
+        loaded(),
+        loaded("exact", "--n", "7", "--a", "3"),
+        loaded("exact", "--n", "7", "--a", "3", "--per-sensor"),
+        loaded("lemma", "--id", "1", "--a", "3", "--grid", "10,100"),
+        loaded("lemma", "--id", "2", "--a", "1", "--n", "50"),
+        *(loaded("identities", "--suite", s) for s in suite_names() if s not in ("beta", "all")),
+    ],
+    "single_worker": [
+        loaded("simulate", "--n", "7", "--a", "1", "--trials", "5000", "--workers", "1"),
+        loaded("lemma", "--id", "4", "--c", "0", "--grid", "1000,10000"),
+        loaded("asymptotic", "--theorem", "1", "--a", "2", "--grid", "100,1000"),
+    ],
+    "two_workers": loaded("simulate", "--n", "7", "--a", "1", "--trials", "5000", "--workers", "2"),
+    "odd_float": loaded("asymptotic", "--theorem", "2", "--a", "3", "--grid", "100,1000"),
+}))
 """
 
+_STAR_IMPORT = """
+import json, sys
+import anchor_moments
+numpy_on_import = "numpy" in sys.modules
+names = {}
+exec("from anchor_moments import *", names)
+print(json.dumps([numpy_on_import, sorted(names)]))
+"""
 
-def test_scipy_and_the_process_pool_load_only_when_used():
-    # one fresh interpreter: the test session itself has long since imported both
+# what `from anchor_moments import *` bound before the package had an __all__
+_PUBLIC_NAMES = {
+    "AsymptoticReport", "CoefficientSet", "EXACT_N_GUARD", "FloatMomentBreakdown", "HalfIntValue",
+    "IdentityCheckResult", "MomentBreakdown", "MomentQuery", "SensorMoment", "SimulationConfig",
+    "SimulationResult", "SizeGuardError", "abel_anchor_sum", "anchor", "asymptotics",
+    "beta_exact", "binomial", "combinatorics", "diagonal_coefficients", "estimate",
+    "eulerian_second_order", "falling_factorial", "finite_difference", "gamma_half_int",
+    "incomplete_beta_regularized_exact", "incomplete_beta_step_down", "leading_constant",
+    "moments", "per_sensor_moment_exact", "remainder_diagnostic", "rising_factorial",
+    "simulation", "special_functions", "stirling_bounds", "stirling_cycle", "stirling_subset",
+    "total_moment_exact", "total_moment_float", "vanishing_signed_sum",
+    "vanishing_tail_correction_sum", "verify_diagonal_beta_identity",
+}
+
+
+def _fresh_interpreter(script: str):
+    # the test session itself has long since imported numpy, scipy and the pool
     src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER_COMMANDS], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    *single_worker, two_workers, odd_float = json.loads(proc.stdout)
-    assert all(seen == {"scipy": False, "concurrent.futures.process": False}
-               for seen in single_worker)
-    assert not two_workers["scipy"]
-    assert odd_float["scipy"]  # the float route's odd-order tail needs betainc
+    return json.loads(proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def modules_after_commands():
+    return _fresh_interpreter(_MODULES_AFTER_COMMANDS)
+
+
+def test_scipy_and_the_process_pool_load_only_when_used(modules_after_commands):
+    seen = modules_after_commands
+    assert all(not s["scipy"] and not s["concurrent.futures.process"]
+               for s in seen["numpy_free"] + seen["single_worker"])
+    assert not seen["two_workers"]["scipy"]
+    assert seen["odd_float"]["scipy"]  # the float route's odd-order tail needs betainc
+
+
+def test_numpy_loads_only_when_used(modules_after_commands):
+    # importing the CLI and building its parser, exact totals and tables, lemmas 1 and 2 and
+    # every identity suite but the float-Beta one run in exact arithmetic
+    seen = modules_after_commands
+    assert len(seen["numpy_free"]) >= 10
+    assert not any(s["numpy"] for s in seen["numpy_free"])
+    assert seen["single_worker"][0]["numpy"]  # the Monte Carlo draws
+
+
+def test_star_import_keeps_the_public_names_and_loads_no_numpy():
+    numpy_on_import, names = _fresh_interpreter(_STAR_IMPORT)
+    assert not numpy_on_import
+    assert _PUBLIC_NAMES <= set(names)

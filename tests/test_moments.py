@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from anchor_moments import moments
+from anchor_moments import _float_route
+from anchor_moments._float_route import (
+    _ANCHOR_EVERY,
+    _CHAIN_MIN_VAR,
+    _CHUNK,
+    _exact_sum,
+    _left_tail_start,
+    _tail_step,
+)
 from anchor_moments.moments import (
     EXACT_N_GUARD,
     MomentQuery,
@@ -18,12 +26,6 @@ from anchor_moments.moments import (
     per_sensor_moment_exact,
     total_moment_exact,
     total_moment_float,
-    _ANCHOR_EVERY,
-    _CHAIN_MIN_VAR,
-    _CHUNK,
-    _exact_sum,
-    _left_tail_start,
-    _tail_step,
 )
 from anchor_moments.special_functions import beta_exact
 
@@ -331,8 +333,12 @@ def test_float_bits_do_not_depend_on_the_chunk_size(monkeypatch, n, a):
     if n % 2 and a % 2:  # the middle sensor keeps its upper signed part, -0.0, written last
         assert np.signbit(total_moment_float(MomentQuery(n, a)).e_signed_part[n // 2])
     for chunk in (128, n):
-        monkeypatch.setattr(moments, "_CHUNK", chunk)
+        monkeypatch.setattr(_float_route, "_CHUNK", chunk)
+        sums = []  # one exact sum per pass, and one for the middle sensor
+        monkeypatch.setattr(_float_route, "_exact_sum",
+                            lambda x: sums.append(len(x)) or _exact_sum(x))
         assert _float_bytes(n, a) == want, chunk
+        assert len(sums) == 1 + -(-(n - n // 2) // chunk), chunk  # the patch took effect
 
 
 def test_float_chunk_cases_cover_a_series_across_passes():
