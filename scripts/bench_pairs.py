@@ -63,11 +63,15 @@ def _summary(runs: dict[str, list[dict]], seeds: list[int]) -> dict:
 
 def _machine() -> str:
     import numpy
-    import scipy
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return (f"{cpus}-core {platform.system()} machine, CPython {platform.python_version()}, "
-            f"numpy {numpy.__version__}, scipy {scipy.__version__}")
+    text = (f"{cpus}-core {platform.system()} machine, CPython {platform.python_version()}, "
+            f"numpy {numpy.__version__}")
+    try:  # the package does not need scipy; report it only where it is installed
+        import scipy
+    except ImportError:
+        return text
+    return f"{text}, scipy {scipy.__version__}"
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .moments import FloatMomentBreakdown, MomentQuery
 
-_CHUNK = 2**14  # a multiple of _ANCHOR_EVERY, so float-route passes start on chain anchors
+_CHUNK = 2**14  # a multiple of _ANCHOR_EVERY, so a pass starts on a chain anchor with its carry
 
 
 def _exact_sum(x: np.ndarray) -> Fraction:
@@ -118,7 +118,9 @@ def _right_moment_series(n: int, a: int, i: np.ndarray, t: np.ndarray, q: np.nda
             return q**a * acc
 
 
-_ANCHOR_EVERY, _CHAIN_MIN_VAR = 128, 400.0  # where betainc gives L_0: see _left_tail_start
+# the chain rounds its exact sum at every _ANCHOR_EVERY-th sensor; the top sums take over
+# where n t(1-t) < _CHAIN_MIN_VAR: see _left_tail_start
+_ANCHOR_EVERY, _CHAIN_MIN_VAR = 128, 400.0
 _STEP_RULE = [(0.5 + s * math.sqrt(3 / 7 + c * 2 / 7 * math.sqrt(6 / 5)) / 2,  # Gauss-Legendre
                (18 - c * math.sqrt(30)) / 72) for c in (-1, 1) for s in (-1, 1)]  # on [0, 1]
 
@@ -133,20 +135,55 @@ def _tail_step(n: int, i: np.ndarray, dens: np.ndarray) -> np.ndarray:
     return dens / n * (quad - (2 * i + 1) / (2 * i) * np.expm1(phi(1.0)) - 1 / (2 * i))
 
 
-def _left_tail_start(n: int, i: np.ndarray, q: np.ndarray, dens: np.ndarray) -> np.ndarray:
-    """L_0 = I(t_i; i, n-i+1), q = 1 - t; n t(1-t) = (i-1/2)(n-i+1/2)/n falls in i on this half."""
-    from scipy.special import betainc  # on first use: scipy is most of the CLI start-up
+def _units(x: np.ndarray) -> list[int]:
+    """Each value of a float array as an exact integer multiple of 2^-1126 (see _exact_sum)."""
+    m, e = np.frexp(x)
+    return [mant << shift for mant, shift in
+            zip(np.ldexp(m, 53).astype(np.int64).tolist(), (e + 1073).tolist())]
+
+
+def _top_tail(n: int, i: np.ndarray, q: np.ndarray, dens: np.ndarray) -> np.ndarray:
+    """P(Bin(n, t_i) >= i), q = 1 - t, where n t(1-t) = s^2 < _CHAIN_MIN_VAR, as the positive sum
+    of the pmf from k = i: pmf(i) = dens t / i, then pmf(k+1) = pmf(k) (n-k) t / ((k+1) q).  The
+    terms stop at k = n; i exceeds the mean n t by 1/2, so by Bernstein's inequality the terms past
+    ceil(10 s) + 3 of them add less than 1e-17.  s^2 <= n/4, and the count depends on n alone,
+    so the bits do not depend on how the sensors are split into passes."""
+    t = (2.0 * i - 1.0) / (2 * n)
+    k = np.arange(math.ceil(10 * math.sqrt(min(_CHAIN_MIN_VAR, n / 4))) + 2)
+    ratio = (n - i[:, None] - k) / (i[:, None] + k + 1) * (t / q)[:, None]
+    return dens * t / i * (1.0 + np.cumprod(ratio, axis=1).sum(axis=1))
+
+
+def _left_tail_start(n: int, i: np.ndarray, q: np.ndarray, dens: np.ndarray,
+                     carry: list[int] | None = None) -> np.ndarray:
+    """L_0 = T_i = I(t_i; i, n-i+1) for a run of computed sensors, q = 1 - t.
+
+    Where n t(1-t) = (i-1/2)(n-i+1/2)/n, which falls in i on this half, is at least
+    _CHAIN_MIN_VAR, T is chained up from the middle sensor, where the reflection
+    T_(n+1-i) = 1 - T_i gives it exactly: 1/2 for odd n, and (1 + step_(n/2)) / 2 at n/2+1
+    for even n, whose density is the one at n/2.  Each _ANCHOR_EVERY-th sensor, an anchor, is
+    the exactly rounded sum of that value and the _tail_step values below it; the sensors
+    between add their own steps to their anchor.  `carry` holds the exact sum, in units of
+    2^-1126, from one pass to the next: a pass above the middle starts on an anchor, with the
+    carry of the pass below (None: i[0] is the middle sensor).  The top sensors take _top_tail.
+    """
     m, k = int(np.count_nonzero((i - 0.5) * (n - i + 0.5) >= n * _CHAIN_MIN_VAR)), _ANCHOR_EVERY
-    step = _tail_step(n, i[:m], dens[:m])
-    rise = np.zeros(-(-m // k) * k)  # rise[j] = T_j - T_(j-1), 0 at the anchors
-    rise[1:m] = step[:-1]
-    rise[::k] = 0.0
-    at = np.r_[0:m:k, m:len(i)]
     start = np.empty_like(i)
-    # 1 - I(1-t; n-i+1, i) takes the exact 1 - t, where one ulp of t costs n ulps
-    # at the top; L_0 lies in [0.39, 0.61], so the subtraction loses nothing
-    start[at] = 1.0 - betainc(n - i[at] + 1, i[at], q[at])
-    start[:m] = (start[:m:k, None] + np.cumsum(rise.reshape(-1, k), axis=1)).ravel()[:m]
+    start[m:] = _top_tail(n, i[m:], q[m:], dens[m:])
+    if m:
+        carry = [] if carry is None else carry
+        if not carry:  # i[0] is the middle sensor; a step's units are even, so halving is exact
+            mid = 0 if n % 2 else _units(_tail_step(n, i[:1] - 1, dens[:1]))[0]
+            carry.append((1 << 1126) + mid >> 1)
+        step = np.zeros((-(-m // k), k))  # step[r, j] = T_(s+1) - T_s at sensor s = i[r k + j]
+        step.ravel()[:m] = _tail_step(n, i[:m], dens[:m])
+        anchors = []
+        for block in _units(step.sum(axis=1)):
+            anchors.append(carry[0] / (1 << 1126))  # int / int rounds correctly
+            carry[0] += block
+        below = np.zeros_like(step)  # T less T at the block's anchor
+        np.cumsum(step[:, :-1], axis=1, out=below[:, 1:])
+        start[:m] = (np.array(anchors)[:, None] + below).ravel()[:m]
     return start
 
 
@@ -173,7 +210,7 @@ def total_moment_float(q: MomentQuery) -> FloatMomentBreakdown:
         out[n + 1 - lo - len(lower): n + 1 - lo] = lower[::-1]
         out[lo - 1: lo - 1 + len(upper)] = upper
 
-    upper_sum, series_from = Fraction(0), n + 1
+    upper_sum, series_from, carry = Fraction(0), n + 1, []
     for lo in range(n // 2 + 1, n + 1, _CHUNK):
         i, t, one_minus_t = _anchor_terms(n, lo, min(lo + _CHUNK, n + 1))
         h = (2.0 * i - 1.0 - n) / (2 * n)  # t - 1/2
@@ -181,7 +218,8 @@ def total_moment_float(q: MomentQuery) -> FloatMomentBreakdown:
         full = upper = _left_moment(n, a, tq, h, 0.0, 1.0)
         if q.odd:
             dens = beta_density_at_anchor(n, i)
-            left = _left_moment(n, a, tq, h, tq * dens, _left_tail_start(n, i, one_minus_t, dens))
+            start = _left_tail_start(n, i, one_minus_t, dens, carry)
+            left = _left_moment(n, a, tq, h, tq * dens, start)
             upper = 2.0 * left - full
             put(e_signed, lo, -full, full)
             put(e_folded, lo, 2.0 * left, 2.0 * (left - full))

@@ -307,6 +307,7 @@ print(json.dumps({
     ],
     "two_workers": loaded("simulate", "--n", "7", "--a", "1", "--trials", "5000", "--workers", "2"),
     "odd_float": loaded("asymptotic", "--theorem", "2", "--a", "3", "--grid", "100,1000"),
+    "float_beta": [loaded("identities", "--suite", s) for s in ("beta", "all")],
 }))
 """
 
@@ -350,10 +351,12 @@ def modules_after_commands():
 
 def test_scipy_and_the_process_pool_load_only_when_used(modules_after_commands):
     seen = modules_after_commands
-    assert all(not s["scipy"] and not s["concurrent.futures.process"]
+    assert all(not s["concurrent.futures.process"]
                for s in seen["numpy_free"] + seen["single_worker"])
-    assert not seen["two_workers"]["scipy"]
-    assert seen["odd_float"]["scipy"]  # the float route's odd-order tail needs betainc
+    # no command loads scipy: the float route sums its own odd-order binomial tail
+    every = seen["numpy_free"] + seen["single_worker"] + seen["float_beta"]
+    assert not any(s["scipy"] for s in every + [seen["two_workers"], seen["odd_float"]])
+    assert all(s["numpy"] for s in seen["float_beta"] + [seen["odd_float"]])
 
 
 def test_numpy_loads_only_when_used(modules_after_commands):

@@ -425,8 +425,8 @@ def _binomial_tail_mpmath(n: int, i: int):
 
 
 def test_left_tail_start_matches_binomial_tail_oracle():
-    # betainc gives the anchors and the top sensors, and is itself off by up to
-    # about 2e-14 at this n; a chained sensor adds about one ulp to its anchor's error
+    # a chained sensor adds about one ulp to its anchor's error; scipy's betainc is off by
+    # up to about 2e-14 at this n
     n, k = 100_000, _ANCHOR_EVERY
     i, m = _chained_prefix(n)
     assert m > 2 * k and (m - 1) % k != 0  # the last chained sensor is not an anchor
@@ -441,6 +441,21 @@ def test_left_tail_start_matches_binomial_tail_oracle():
         step = _tail_step(n, i[j : j + 1], dens[j : j + 1])[0]
         want = _binomial_tail_mpmath(n, int(i[j]) + 1) - _binomial_tail_mpmath(n, int(i[j]))
         assert abs(step - want) <= 1e-17, (int(i[j]), step, want)
+
+
+@pytest.mark.parametrize("n", [100_000, 100_001, 1_000_000])
+def test_left_tail_start_is_good_to_a_few_ulps(n):
+    # the chain from the middle sensor and the direct top sums, ten times tighter than
+    # scipy's betainc, which is off by up to 4e-14 here
+    k = _ANCHOR_EVERY
+    i, m = _chained_prefix(n)
+    start = _left_tail_start(n, i, (2 * (n - i) + 1) / (2 * n), beta_density_at_anchor(n, i))
+    mid, last = m // 2 // k * k, (m - 1) // k * k
+    # anchors at the middle, halfway up and at the top of the chain, both ends of a block,
+    # the last chained sensor, the first top sensor and i = n
+    for j in (0, k, mid - 1, mid, mid + k - 1, last, m - 1, m, len(i) - 1):
+        want = _binomial_tail_mpmath(n, int(i[j]))
+        assert abs(start[j] - want) <= 4e-15, (int(i[j]), start[j], want)
 
 
 def test_beta_density_at_anchor_matches_exact():
