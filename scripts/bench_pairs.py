@@ -11,7 +11,9 @@ the change first.  Every __pycache__ under a tree is removed before each of its
 runs, so both sides start from source.  The result is written to
 BENCH_<label>.json in the current directory: for each end-to-end metric the
 median and the inclusive quartiles of each side, the number of pairs in which
-the change was lower, and the failed and attempted operation counts.
+the change was lower, and the failed and attempted operation counts.  If a run
+exits non-zero, the file keeps every run so far, the unfinished workload's runs
+as they are, and the failing run under "failed_run"; the script then exits 1.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ METRICS = ("setup_s", "work_s", "peak_rss_mb")
 SIDES = ("parent", "change")
 
 
+class _RunFailed(Exception):
+    """A perfbench run exited non-zero; args[0] describes it."""
+
+
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     for cache in list(tree.rglob("__pycache__")):
         shutil.rmtree(cache)
@@ -37,8 +43,8 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
                           cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
-        sys.exit(f"{tree}: {workload} seed {seed} exited {proc.returncode}: "
-                 f"{proc.stderr.strip()[-500:]}")
+        raise _RunFailed({"tree": str(tree), "workload": workload, "seed": seed,
+                         "exit_code": proc.returncode, "stderr_tail": proc.stderr.strip()[-500:]})
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -87,17 +93,26 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
-    workloads = {}
+    workloads, failed_run = {}, None
     for spec in args.workload:
         name, pairs, first = spec.split(":")
         seeds = [int(first) + p for p in range(int(pairs))]
         runs: dict[str, list[dict]] = {side: [] for side in SIDES}
-        for p, seed in enumerate(seeds):
-            for side in SIDES if p % 2 == 0 else SIDES[::-1]:
-                runs[side].append(_run(trees[side], name, seed, args.seconds))
-                metrics = runs[side][-1]["metrics"]
-                print(f"{name} pair {p + 1}/{len(seeds)} {side}: " + ", ".join(
-                    f"{m} {metrics[m]['value']:.3f}" for m in METRICS), flush=True)
+        try:
+            for p, seed in enumerate(seeds):
+                for side in SIDES if p % 2 == 0 else SIDES[::-1]:
+                    runs[side].append(_run(trees[side], name, seed, args.seconds))
+                    metrics = runs[side][-1]["metrics"]
+                    print(f"{name} pair {p + 1}/{len(seeds)} {side}: " + ", ".join(
+                        f"{m} {metrics[m]['value']:.3f}" for m in METRICS), flush=True)
+        except _RunFailed as err:
+            failed_run = err.args[0]
+            print(f"{failed_run['tree']}: {name} seed {failed_run['seed']} exited "
+                  f"{failed_run['exit_code']}: {failed_run['stderr_tail']}", file=sys.stderr)
+            workloads[name] = {"unfinished": True, "seeds": seeds, "runs": {
+                side: [{m: round(r["metrics"][m]["value"], 4) for m in METRICS}
+                       for r in runs[side]] for side in SIDES}}
+            break
         workloads[name] = _summary(runs, seeds)
 
     report = {
@@ -112,8 +127,10 @@ def main(argv: list[str] | None = None) -> int:
         "claim": dict(zip(("workload", "metric"), args.claim.split(":"))) if args.claim else None,
         "workloads": workloads,
     }
+    if failed_run:
+        report["failed_run"] = failed_run
     Path(f"BENCH_{args.label}.json").write_text(json.dumps(report, indent=1) + "\n")
-    return 0
+    return 1 if failed_run else 0
 
 
 if __name__ == "__main__":

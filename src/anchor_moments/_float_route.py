@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -96,28 +97,6 @@ def _left_moment(n: int, a: int, tq, h, g, start):
     return cur
 
 
-def _right_moment_series(n: int, a: int, i: np.ndarray, t: np.ndarray, q: np.ndarray,
-                         g: np.ndarray) -> np.ndarray:
-    """E[(X-t)^a; X > t] for X ~ Beta(i, n-i+1), q = 1-t, g = t q f(t), as a positive series.
-
-    x = t + q y and the binomial expansion of x^(i-1) give q^a sum_r w_r with
-    w_0 = q f(t) B(a+1, m+1), m = n-i, and w_(r+1) = w_r b_r (a+r+1)/(a+r+m+2),
-    b_r = (i-1-r) q / ((r+1) t).  The weights follow Bin(i-1, q), of mean about
-    m + 1/2; once b_r <= 1/2 the rest of the sum is below the last term.
-    """
-    m = n - i
-    w = g / t * [math.factorial(a) * math.factorial(k) / math.factorial(a + k + 1)
-                 for k in m.astype(np.int64)]
-    acc, r = w.copy(), 0
-    while True:
-        b = (i - 1 - r) * q / ((r + 1) * t)
-        w = w * b * (a + r + 1) / (a + r + m + 2)
-        acc += w
-        r += 1
-        if np.all((b <= 0.5) & (w <= 2.0**-54 * acc)):
-            return q**a * acc
-
-
 # the chain rounds its exact sum at every _ANCHOR_EVERY-th sensor; the top sums take over
 # where n t(1-t) < _CHAIN_MIN_VAR: see _left_tail_start
 _ANCHOR_EVERY, _CHAIN_MIN_VAR = 128, 400.0
@@ -187,52 +166,44 @@ def _left_tail_start(n: int, i: np.ndarray, q: np.ndarray, dens: np.ndarray,
     return start
 
 
-def total_moment_float(q: MomentQuery) -> FloatMomentBreakdown:
-    """Float breakdown of the total expected cost, n up to 10^7.
+def _passes(q: MomentQuery) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """The computed sensors i > n/2 in passes of at most _CHUNK: for each pass, its first
+    sensor and its e_total, e_signed_part and e_folded_part arrays.
 
-    E(t-X)^a gives the even orders and the signed parts, 2 L_a the folded parts
-    and 2 L_a - E(t-X)^a the odd totals; L_0 comes from _left_tail_start.  A
-    mirrored sensor's folded part is twice the right tail L_a - E(t-X)^a, or, where
-    that difference would keep less than one digit (the top sensors), twice a positive series.
-    The computed half runs in passes of _CHUNK sensors, written with their mirror images
-    straight into the output arrays.  Each field is formed elementwise, each pass starts on
-    a chain anchor, and the total is the exact sum rounded once: the bits do not depend on _CHUNK.
+    E(t-X)^a gives the even orders and the signed parts, 2 L_a the folded parts and
+    2 L_a - E(t-X)^a the odd totals; L_0 comes from _left_tail_start, whose carry joins
+    the passes.  Each field is formed elementwise and each pass starts on a chain anchor,
+    so the bits do not depend on _CHUNK.  The middle sensor of odd n leads the first pass.
     """
     n, a = q.n, q.a
-    if n > 10**7:
-        raise ValueError("float path supports n <= 10^7")
-    e_total = np.empty(n)
-    e_signed = np.empty(n) if q.odd else e_total
-    e_folded = np.empty(n) if q.odd else np.zeros(n)
-
-    def put(out: np.ndarray, lo: int, upper: np.ndarray, lower: np.ndarray) -> None:
-        # sensor i sits at i - 1, its mirror at n - i; the middle of odd n keeps `upper`
-        out[n + 1 - lo - len(lower): n + 1 - lo] = lower[::-1]
-        out[lo - 1: lo - 1 + len(upper)] = upper
-
-    upper_sum, series_from, carry = Fraction(0), n + 1, []
+    carry: list[int] = []
     for lo in range(n // 2 + 1, n + 1, _CHUNK):
         i, t, one_minus_t = _anchor_terms(n, lo, min(lo + _CHUNK, n + 1))
         h = (2.0 * i - 1.0 - n) / (2 * n)  # t - 1/2
         tq = t * one_minus_t
-        full = upper = _left_moment(n, a, tq, h, 0.0, 1.0)
-        if q.odd:
-            dens = beta_density_at_anchor(n, i)
-            start = _left_tail_start(n, i, one_minus_t, dens, carry)
-            left = _left_moment(n, a, tq, h, tq * dens, start)
-            upper = 2.0 * left - full
-            put(e_signed, lo, -full, full)
-            put(e_folded, lo, 2.0 * left, 2.0 * (left - full))
-            lost = full > 0.9 * left  # false at the middle of odd n (full = 0): it keeps 2 L_a
-            if series_from > n and lost.any():
-                series_from = lo + int(np.argmax(lost))
-        put(e_total, lo, upper, upper)
-        upper_sum += _exact_sum(upper)
-    if series_from <= n:
-        i, t, one_minus_t = _anchor_terms(n, series_from, n + 1)
-        right = _right_moment_series(n, a, i, t, one_minus_t,
-                                     t * one_minus_t * beta_density_at_anchor(n, i))
-        e_folded[: n + 1 - series_from] = 2.0 * right[::-1]
-    total = float(2 * upper_sum - _exact_sum(e_total[n // 2: n - n // 2]))  # middle sensor once
-    return FloatMomentBreakdown(n=n, a=a, e_total=e_total, e_signed_part=e_signed,
-                                e_folded_part=e_folded, total=total)
+        full = _left_moment(n, a, tq, h, 0.0, 1.0)
+        if not q.odd:
+            yield lo, full, full, np.zeros_like(full)
+            continue
+        dens = beta_density_at_anchor(n, i)
+        start = _left_tail_start(n, i, one_minus_t, dens, carry)
+        left = _left_moment(n, a, tq, h, tq * dens, start)
+        yield lo, 2.0 * left - full, -full, 2.0 * left
+
+
+def total_moment_float(q: MomentQuery) -> FloatMomentBreakdown:
+    """Float total of the expected cost, n up to 10^7.
+
+    By reflection E_i = E_(n+1-i), so the total is twice the exact sum of the computed
+    half (_passes) less the middle sensor of odd n, rounded once; no per-sensor array
+    outlives its pass.
+    """
+    n = q.n
+    if n > 10**7:
+        raise ValueError("float path supports n <= 10^7")
+    total = Fraction(0)
+    for lo, e_total, _, _ in _passes(q):
+        total += 2 * _exact_sum(e_total)
+        if lo == n // 2 + 1:  # the middle sensor, counted once
+            total -= _exact_sum(e_total[: n % 2])
+    return FloatMomentBreakdown(n=n, a=q.a, total=float(total))

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .combinatorics import rising_factorial
-from .moments import (EXACT_N_GUARD, MomentQuery, SizeGuardError, _binomial_tail,
-                      _moment_denominator, _scaled_left_moment, beta_density_at_anchor,
-                      total_moment_float)
-from .special_functions import HalfIntValue, beta_exact, gamma_half_int
+from .moments import (EXACT_N_GUARD, MomentQuery, SizeGuardError, _moment_denominator,
+                      _scaled_left_moment, beta_density_at_anchor, total_moment_float)
+from .special_functions import HalfIntValue, _beta_tail, beta_exact, gamma_half_int
 
 __all__ = [
     "AsymptoticReport",
@@ -134,7 +133,8 @@ def vanishing_tail_correction_sum(n: int, a: int) -> Fraction:
         raise SizeGuardError(
             f"tail-correction sum is exact-path only (n <= {EXACT_N_GUARD}, got {n})")
     scale = (2 * n) ** n
-    total = sum(_scaled_left_moment(n, a, i, 0, 1) * (2 * _binomial_tail(n, i) - scale)
+    total = sum(_scaled_left_moment(n, a, i, 0, 1)
+                * (2 * _beta_tail(2 * i - 1, 2 * n, i, n - i + 1) - scale)  # 2 S_i - (2n)^n
                 for i in range(n // 2 + 1, n + 1))
     return Fraction(total, scale * _moment_denominator(n, a))
 

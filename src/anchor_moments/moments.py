@@ -5,7 +5,9 @@ to the anchor t_i = (2i-1)/(2n) costs |X_i - t_i|^a.  The per-sensor
 expectation splits at t_i into a signed integral over [0,1] plus a doubled
 left-tail integral (for odd a).  By reflection X_(n+1-i) has the law of
 1 - X_i and t_(n+1-i) = 1 - t_i, so E_i = E_(n+1-i) and, for odd a, the signed
-part changes sign; both routes compute the sensors i > n/2 and mirror the rest.
+part changes sign.  Both routes compute only the sensors i > n/2: the exact
+route mirrors the rest (_mirror), and the float route sums the computed half
+twice, less the middle sensor of odd n, and keeps no per-sensor values.
 
 Both routes step the left tail E[(t-X)^k; X<t] and the full moment E(t-X)^k
 up to k = a by one Pearson recurrence, whose terms share one sign for
@@ -14,16 +16,17 @@ Q = 2n-2i+1 and H = 2i-1-n, so that t_i = P/(2n), 1 - t_i = Q/(2n) and
 t_i - 1/2 = H/(2n).  The left tail starts from the binomial tail
 I(t_i; i, n-i+1) = P(Bin(n, t_i) >= i) = S_i / (2n)^n with
 S_i = sum_(k>=i) C(n,k) P^k Q^(n-k), the integer form of the exact incomplete
-Beta in special_functions, summed for 2i > n and complemented below.  Scaled as
+Beta in special_functions, summed for 2i > n only.  Scaled as
 l_k = L_k (2n)^k (n+1)^rising(k), every step of the recurrence is an integer,
 so all sensors' fields share one denominator: each output value is one reduced
 Fraction, and the total is reduced once.  The float route, in _float_route
 (where numpy loads, on first call), runs it on arrays, from the density and
 I(t_i; i, n-i+1): chained by exact lattice steps from the middle sensor, where
 reflection gives it exactly, and summed from the binomial terms near the top:
-O(n a) work, run-to-run identical.  Measured relative error: at most 7e-15 per
-sensor field (2.1e-15 on e_total) against the exact route for n <= 200,
-a <= 9, and 4e-15 on totals against quadrature at n = 2000, 10^5 and 10^6.
+O(n a) work, run-to-run identical, in memory that does not grow with n.
+Measured relative error: at most 2.2e-15 per field of a computed sensor
+against the exact route for n <= 200, a <= 9, and 4e-15 on totals against
+quadrature at n = 2000, 10^5 and 10^6.
 """
 
 from __future__ import annotations
@@ -97,13 +100,10 @@ class MomentBreakdown:
 
 @dataclass(frozen=True)
 class FloatMomentBreakdown:
-    """Float analogue of MomentBreakdown; per-sensor columns are arrays."""
+    """Float total of MomentBreakdown; the float route keeps no per-sensor values."""
 
     n: int
     a: int
-    e_total: np.ndarray
-    e_signed_part: np.ndarray
-    e_folded_part: np.ndarray
     total: float
 
 
@@ -130,18 +130,18 @@ def _scaled_left_moment(n: int, a: int, i: int, g: int, start: int) -> int:
     return cur
 
 
-def _binomial_tail(n: int, i: int) -> int:
-    """S_i = (2n)^n I(t_i; i, n-i+1), summed only for 2i > n, where it has at most ceil(n/2)
-    terms; below the middle it is the complement of the tail of sensor n+1-i."""
-    if 2 * i <= n:
-        return (2 * n) ** n - _binomial_tail(n, n + 1 - i)
-    return _beta_tail(2 * i - 1, 2 * n, i, n - i + 1)
-
-
 def _moment_denominator(n: int, a: int) -> int:
     """(2n)^a (n+1)^rising(a), the denominator of E(t_i - X_i)^a for every i;
     the odd-order fields, which carry the binomial tail, have (2n)^n times it."""
     return (2 * n) ** a * rising_factorial(n + 1, a)
+
+
+def _mirror(q: MomentQuery, e: SensorMoment) -> SensorMoment:
+    """Sensor n+1-i from sensor i: X_(n+1-i) has the law of 1 - X_i and t_(n+1-i) = 1 - t_i,
+    so the total is the same object, and for odd a the signed part changes sign."""
+    signed = -e.e_signed_part if q.odd else e.e_signed_part
+    return SensorMoment(i=q.n + 1 - e.i, t=1 - e.t, e_total=e.e_total, e_signed_part=signed,
+                        e_folded_part=e.e_total - signed)
 
 
 def per_sensor_moment_exact(q: MomentQuery, i: int) -> SensorMoment:
@@ -156,18 +156,21 @@ def per_sensor_moment_exact(q: MomentQuery, i: int) -> SensorMoment:
     and L_a, times (2n)^n, from the binomial tail
     I(t_i; i, n-i+1) = P(Bin(n, t_i) >= i) = S_i / (2n)^n and the density,
     (2n)^(n+1) t_i(1-t_i) f_i(t_i) = i C(n,i) P^i Q^(n-i+1), where P = 2i-1
-    and Q = 2n-2i+1.
+    and Q = 2n-2i+1.  A sensor i <= n/2 is the mirror image of n+1-i (_mirror),
+    so the binomial tail is summed only for 2i > n, over at most ceil(n/2) terms.
     """
     n, a = q.n, q.a
     t = anchor(i, n)
+    if 2 * i <= n:
+        return _mirror(q, per_sensor_moment_exact(q, n + 1 - i))
     full, den = _scaled_left_moment(n, a, i, 0, 1), _moment_denominator(n, a)
     if not q.odd:
         m = Fraction(full, den)
         return SensorMoment(i=i, t=t, e_total=m, e_signed_part=m, e_folded_part=Fraction(0))
     p, r = 2 * i - 1, 2 * (n - i) + 1
     g = i * math.comb(n, i) * p**i * r ** (n - i + 1)
-    scale = (2 * n) ** n
-    folded = Fraction(2 * _scaled_left_moment(n, a, i, g, _binomial_tail(n, i)), scale * den)
+    scale, tail = (2 * n) ** n, _beta_tail(p, 2 * n, i, n - i + 1)
+    folded = Fraction(2 * _scaled_left_moment(n, a, i, g, tail), scale * den)
     signed = Fraction(-full, den)
     return SensorMoment(i=i, t=t, e_total=folded + signed, e_signed_part=signed,
                         e_folded_part=folded)
@@ -177,7 +180,7 @@ def total_moment_exact(q: MomentQuery) -> MomentBreakdown:
     """Exact breakdown of the total expected cost; guarded at EXACT_N_GUARD.
 
     Sensors i > n/2 are computed; each sensor i <= n/2 is the mirror image of
-    n+1-i: same total, and for odd a the signed part changes sign.  The total
+    n+1-i (_mirror): same total, and for odd a the signed part changes sign.  The total
     sums the sensors' numerators over their common denominator, each mirrored
     pair twice, and reduces once.
     """
@@ -187,12 +190,7 @@ def total_moment_exact(q: MomentQuery) -> MomentBreakdown:
             f"exact path guarded at n <= {EXACT_N_GUARD} (got n={n}); "
             "use total_moment_float for larger n")
     upper = [per_sensor_moment_exact(q, i) for i in range(n // 2 + 1, n + 1)]
-    lower = []
-    for i in range(1, n // 2 + 1):
-        e = upper[-i]  # sensor n+1-i
-        signed = -e.e_signed_part if q.odd else e.e_signed_part
-        lower.append(SensorMoment(i=i, t=anchor(i, n), e_total=e.e_total,
-                                  e_signed_part=signed, e_folded_part=e.e_total - signed))
+    lower = [_mirror(q, e) for e in upper[::-1][: n // 2]]  # sensor i from n+1-i
     den = _moment_denominator(n, q.a) * (2 * n) ** (n if q.odd else 0)
     scaled = [e.e_total.numerator * (den // e.e_total.denominator) for e in upper]
     total = Fraction(2 * sum(scaled) - (scaled[0] if n % 2 else 0), den)  # middle sensor once
@@ -206,6 +204,6 @@ def beta_density_at_anchor(n: int, i: np.ndarray) -> np.ndarray:
 
 
 def total_moment_float(q: MomentQuery) -> FloatMomentBreakdown:
-    """Float breakdown of the total expected cost, n up to 10^7 (float route)."""
+    """Float total of the expected cost, n up to 10^7 (float route)."""
     from . import _float_route
     return _float_route.total_moment_float(q)

@@ -178,10 +178,14 @@ def test_breakdown_invariants():
 
 
 def test_symmetry_across_the_midpoint():
-    for n, a in ((8, 1), (8, 2), (11, 3), (13, 5)):
+    # mirrors share one e_total Fraction, and for even a e_signed_part is e_total:
+    # the CLI formats each shared value once
+    for n, a in ((8, 1), (8, 2), (11, 3), (13, 5), (13, 4)):
         bd = total_moment_exact(MomentQuery(n, a))
         for i in range(1, n + 1):
-            assert bd.per_sensor[i - 1].e_total == bd.per_sensor[n - i].e_total
+            e = bd.per_sensor[i - 1]
+            assert e.e_total is bd.per_sensor[n - i].e_total
+            assert (e.e_signed_part is e.e_total) == (a % 2 == 0)
 
 
 def test_exact_size_guard():
@@ -212,8 +216,8 @@ def test_total_breakdown_equals_direct_oracle():
 
 
 def test_folded_route_equals_direct_folded_part():
-    # per_sensor_moment_exact on every sensor, including those the total mirrors,
-    # whose left tail comes from the complement incomplete Beta
+    # per_sensor_moment_exact on every sensor, including those below the middle,
+    # which it mirrors from sensor n+1-i as the total does
     for n in range(1, 41):
         for a in (1, 2, 3, 5, 9):
             q = MomentQuery(n, a)
@@ -253,11 +257,20 @@ def test_float_matches_exact_sampled_grid():
             assert fl == pytest.approx(exact, rel=1e-9)
 
 
+def _float_fields(n: int, a: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The float route's computed sensors, n//2+1..n, joined over its passes: the first
+    sensor, then e_total, e_signed_part and e_folded_part."""
+    passes = list(_float_route._passes(MomentQuery(n, a)))
+    assert [lo for lo, *_ in passes] == list(range(n // 2 + 1, n + 1, _float_route._CHUNK))
+    return (passes[0][0], *(np.concatenate([p[k] for p in passes]) for k in (1, 2, 3)))
+
+
 def test_float_breakdown_consistency():
-    bd = total_moment_float(MomentQuery(50, 3))
-    assert bd.e_total == pytest.approx(bd.e_signed_part + bd.e_folded_part, rel=1e-12)
-    assert bd.total == pytest.approx(float(sum(bd.e_total)), rel=1e-12)
-    assert all(bd.e_folded_part >= 0)
+    _, e_total, signed, folded = _float_fields(50, 3)
+    assert e_total == pytest.approx(signed + folded, rel=1e-12)
+    total = total_moment_float(MomentQuery(50, 3)).total
+    assert total == pytest.approx(2 * float(sum(e_total)), rel=1e-12)  # even n: no middle sensor
+    assert all(folded >= 0)
 
 
 def test_float_large_n_matches_leading_constant():
@@ -278,8 +291,9 @@ def test_float_even_order_closed_form():
 
 
 def _assert_fields_match(fl, i: int, e: SensorMoment, rel: float = 1e-12) -> None:
-    for got, want in ((fl.e_total[i - 1], e.e_total), (fl.e_signed_part[i - 1], e.e_signed_part),
-                      (fl.e_folded_part[i - 1], e.e_folded_part)):
+    lo, *fields = fl
+    for got, want in zip((f[i - lo] for f in fields),
+                         (e.e_total, e.e_signed_part, e.e_folded_part)):
         if want == 0:
             assert got == 0
         else:
@@ -287,13 +301,12 @@ def _assert_fields_match(fl, i: int, e: SensorMoment, rel: float = 1e-12) -> Non
 
 
 def test_float_every_field_matches_exact():
-    # computed and mirrored sensors alike, including the bottom sensors whose
-    # folded part is the small right tail of their mirror image
+    # every computed sensor, the middle and the top ones included
     for n in (1, 2, 3, 7, 40, 200):
         for a in range(1, 10):
             q = MomentQuery(n, a)
-            fl = total_moment_float(q)
-            for e in total_moment_exact(q).per_sensor:
+            fl = _float_fields(n, a)
+            for e in total_moment_exact(q).per_sensor[n // 2:]:
                 _assert_fields_match(fl, e.i, e)
 
 
@@ -302,7 +315,7 @@ def test_float_top_sensors_match_exact_large_n():
     n = 20_000
     for a in (1, 2, 9):
         q = MomentQuery(n, a)
-        fl = total_moment_float(q)
+        fl = _float_fields(n, a)
         for i in range(n - 29, n + 1):
             _assert_fields_match(fl, i, per_sensor_moment_exact(q, i), rel=1e-13)
 
@@ -311,14 +324,15 @@ def test_float_total_is_the_rounded_sum_of_its_sensors():
     # the total is summed over the computed half only, each mirrored pair twice
     for n in (1, 2, 3, 7, 2000, 2001, 100_001):
         for a in (1, 2, 9):
-            bd = total_moment_float(MomentQuery(n, a))
-            assert bd.total == math.fsum(bd.e_total)
+            _, e_total, _, _ = _float_fields(n, a)
+            want = math.fsum(np.concatenate([e_total, e_total[n % 2:]]))  # the middle once
+            assert total_moment_float(MomentQuery(n, a)).total == want
 
 
 def _float_bytes(n: int, a: int) -> tuple[bytes, ...]:
-    bd = total_moment_float(MomentQuery(n, a))
-    return (bd.e_total.tobytes(), bd.e_signed_part.tobytes(), bd.e_folded_part.tobytes(),
-            bd.total.hex().encode())
+    _, *fields = _float_fields(n, a)
+    total = total_moment_float(MomentQuery(n, a)).total
+    return (*(f.tobytes() for f in fields), total.hex().encode())
 
 
 @pytest.mark.parametrize("n,a", [(3 * 128 + 5, 1), (3 * 128 + 5, 2), (3 * 128 + 5, 9),
@@ -326,12 +340,11 @@ def _float_bytes(n: int, a: int) -> tuple[bytes, ...]:
                                  (2 * 2**14 + 2 * 128 + 1, 2), (2 * 2**14 + 2 * 128 + 1, 9),
                                  (2 * 2**14 + 2 * 128 + 2, 1), (33350, 9)])
 def test_float_bits_do_not_depend_on_the_chunk_size(monkeypatch, n, a):
-    # passes must start on the lattice chain's anchors, and the series must cover
-    # every sensor from the first one where the difference loses its digits
+    # passes must start on the lattice chain's anchors, with the carry of the pass below
     assert _CHUNK % _ANCHOR_EVERY == 0
     want = _float_bytes(n, a)
-    if n % 2 and a % 2:  # the middle sensor keeps its upper signed part, -0.0, written last
-        assert np.signbit(total_moment_float(MomentQuery(n, a)).e_signed_part[n // 2])
+    if n % 2 and a % 2:  # the middle sensor, which leads the first pass, has signed part -0.0
+        assert np.signbit(_float_fields(n, a)[2][0])
     for chunk in (128, n):
         monkeypatch.setattr(_float_route, "_CHUNK", chunk)
         sums = []  # one exact sum per pass, and one for the middle sensor
@@ -339,14 +352,6 @@ def test_float_bits_do_not_depend_on_the_chunk_size(monkeypatch, n, a):
                             lambda x: sums.append(len(x)) or _exact_sum(x))
         assert _float_bytes(n, a) == want, chunk
         assert len(sums) == 1 + -(-(n - n // 2) // chunk), chunk  # the patch took effect
-
-
-def test_float_chunk_cases_cover_a_series_across_passes():
-    n, chunk = 33350, 128
-    bd = total_moment_float(MomentQuery(n, 9))
-    full, left = -bd.e_signed_part[n // 2:], bd.e_folded_part[n // 2:] / 2
-    k = int(np.argmax(full > 0.9 * left))  # where the series takes over in the computed half
-    assert 0 < k < (n - n // 2 - 1) // chunk * chunk - chunk // 4  # well before the last pass
 
 
 def test_float_route_temporaries_stay_small():
@@ -357,7 +362,18 @@ def test_float_route_temporaries_stay_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 32 * 2**20  # 24 MB of output arrays
+    assert peak <= 32 * 2**20
+
+
+def test_float_total_keeps_no_per_sensor_array():
+    total_moment_float(MomentQuery(1000, 1))  # warm imports and caches
+    tracemalloc.start()
+    try:
+        total_moment_float(MomentQuery(10**7, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20  # one array of 10^7 doubles alone is 76 MiB
 
 
 _TINY = 5e-324
@@ -405,8 +421,8 @@ def test_float_chained_sensors_match_exact():
     assert 2 * _ANCHOR_EVERY < m < 3 * _ANCHOR_EVERY  # two full blocks and a partial one
     for a in (1, 9):
         q = MomentQuery(n, a)
-        fl = total_moment_float(q)
-        for e in total_moment_exact(q).per_sensor:
+        fl = _float_fields(n, a)
+        for e in total_moment_exact(q).per_sensor[n // 2:]:
             _assert_fields_match(fl, e.i, e)
 
 
@@ -487,8 +503,8 @@ def _mpmath_sensor(n: int, a: int, i: int) -> tuple[float, float, float]:
 def test_float_matches_mpmath_oracle_interior_sensors():
     n = 100_000
     for a in (1, 9):
-        fl = total_moment_float(MomentQuery(n, a))
-        for i in (20_000, 49_999, 50_001, 80_000):
-            got = (fl.e_total[i - 1], fl.e_signed_part[i - 1], fl.e_folded_part[i - 1])
+        lo, *fields = _float_fields(n, a)
+        for i in (50_001, 50_002, 80_000, 80_001):
+            got = [f[i - lo] for f in fields]
             for g, w in zip(got, _mpmath_sensor(n, a, i)):
                 assert g == pytest.approx(w, rel=1e-14, abs=0)
