@@ -11,7 +11,15 @@ the change first.  Every __pycache__ under a tree is removed before each of its
 runs, so both sides start from source.  The result is written to
 BENCH_<label>.json in the current directory: for each end-to-end metric the
 median and the inclusive quartiles of each side, the number of pairs in which
-the change was lower, and the failed and attempted operation counts.  If a run
+the change was lower, and the failed and attempted operation counts.  Each
+metric also gets its bound from the change tree's BENCHMARK.json (a fraction of
+the parent's median), the relative change between the medians and a verdict:
+"worse" when the change's median exceeds the parent's by more than the bound,
+"unresolved" when the parent's quartile spread over its median is wider than
+the bound and not every change run is below every parent run, else "within".
+The --claim metric gets "claim_met": the change was lower in at least nine
+tenths of the pairs, and the medians differ by more than the parent's quartile
+spread.  Every metric here is better when lower.  If a run
 exits non-zero, the file keeps every run so far, the unfinished workload's runs
 as they are, and the failing run under "failed_run"; the script then exits 1.
 """
@@ -53,13 +61,35 @@ def _spread(values: list[float]) -> dict[str, float]:
     return {"q1": round(q1, 4), "median": round(median, 4), "q3": round(q3, 4)}
 
 
-def _summary(runs: dict[str, list[dict]], seeds: list[int]) -> dict:
+def _verdict(parent: list[float], change: list[float], bound: float) -> dict:
+    q1, median, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    relative = statistics.median(change) / median - 1
+    if relative > bound:
+        verdict = "worse"
+    elif (q3 - q1) / median > bound and max(change) >= min(parent):
+        verdict = "unresolved"
+    else:
+        verdict = "within"
+    return {"bound": bound, "relative_change": round(relative, 4), "verdict": verdict}
+
+
+def _claim_met(parent: list[float], change: list[float]) -> bool:
+    q1, median, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    wins = sum(c < p for p, c in zip(parent, change))
+    return wins >= 0.9 * len(parent) and median - statistics.median(change) > q3 - q1
+
+
+def _summary(runs: dict[str, list[dict]], seeds: list[int], bounds: dict[str, float],
+             claim: str | None) -> dict:
     out: dict = {"pairs": len(seeds), "seeds": seeds}
     for metric in METRICS:
         values = {side: [r["metrics"][metric]["value"] for r in runs[side]] for side in SIDES}
         out[metric] = {side: _spread(values[side]) for side in SIDES}
         out[metric]["change_lower_in"] = sum(
             c < p for p, c in zip(values["parent"], values["change"]))
+        out[metric].update(_verdict(values["parent"], values["change"], bounds[metric]))
+        if metric == claim:
+            out[metric]["claim_met"] = _claim_met(values["parent"], values["change"])
         out[metric]["runs"] = {side: [round(v, 4) for v in values[side]] for side in SIDES}
     out["failed"] = {side: sum(r["failed"] for r in runs[side]) for side in SIDES}
     out["failed"].update({f"attempted_{side}": sum(r["attempted"] for r in runs[side])
@@ -92,6 +122,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())["end_to_end"]
+    bounds = {m["name"]: m["bound"] for m in declared}
+    claim = dict(zip(("workload", "metric"), args.claim.split(":"))) if args.claim else None
 
     workloads, failed_run = {}, None
     for spec in args.workload:
@@ -113,7 +146,8 @@ def main(argv: list[str] | None = None) -> int:
                 side: [{m: round(r["metrics"][m]["value"], 4) for m in METRICS}
                        for r in runs[side]] for side in SIDES}}
             break
-        workloads[name] = _summary(runs, seeds)
+        workloads[name] = _summary(runs, seeds, bounds,
+                                   claim["metric"] if claim and claim["workload"] == name else None)
 
     report = {
         "label": args.label,
@@ -124,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
                   "first; __pycache__ removed before every run; quartiles are the inclusive "
                   "method over the runs of one side",
         "machine": _machine(),
-        "claim": dict(zip(("workload", "metric"), args.claim.split(":"))) if args.claim else None,
+        "claim": claim,
         "workloads": workloads,
     }
     if failed_run:

@@ -1,6 +1,6 @@
-"""Float route of moments.py, on numpy arrays.  moments.total_moment_float and
-moments.beta_density_at_anchor load it on first call, so the exact route and the
-CLI start without numpy."""
+"""Float route of moments.py, on numpy arrays.  moments.total_moment_float, and the
+lemma 4 and float-Beta checks for the density, load it on first call, so the exact
+route and the CLI start without numpy."""
 
 from __future__ import annotations
 

@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorics import rising_factorial
+from .combinatorics import finite_difference, rising_factorial
 from .moments import (EXACT_N_GUARD, MomentQuery, SizeGuardError, _moment_denominator,
-                      _scaled_left_moment, beta_density_at_anchor, total_moment_float)
+                      _scaled_left_moment, total_moment_float)
 from .special_functions import HalfIntValue, _beta_tail, beta_exact, gamma_half_int
 
 __all__ = [
@@ -93,9 +93,10 @@ def vanishing_signed_sum(n: int, a: int) -> Fraction:
         raise ValueError("n must be >= 1")
     if a < 1 or a % 2 == 0:
         raise ValueError("a must be an odd natural number")
-    total = Fraction(0)
-    for j in range(a + 1):
-        # sum_i (2i-1)^(a-j) * i^rising(j) stays in integers
+
+    def term(j: int) -> Fraction:
+        # sum_i (2i-1)^(a-j) * i^rising(j) in integers; a running-product table of i^rising(j)
+        # takes up to half the time of one rising_factorial call per sensor
         inner = 0
         rf = [1] * (n + 1)
         for u in range(j):
@@ -103,10 +104,9 @@ def vanishing_signed_sum(n: int, a: int) -> Fraction:
                 rf[i] *= i + u
         for i in range(1, n + 1):
             inner += (2 * i - 1) ** (a - j) * rf[i]
-        term = Fraction(math.comb(a, j) * n**j * inner,
-                        2 ** (a - j) * n**a * rising_factorial(n + 1, j))
-        total = total + term if j % 2 == 0 else total - term
-    return total
+        return Fraction(n**j * inner, 2 ** (a - j) * n**a * rising_factorial(n + 1, j))
+
+    return finite_difference(a, term)
 
 
 def vanishing_tail_correction_sum(n: int, a: int) -> Fraction:
@@ -150,7 +150,8 @@ def abel_anchor_sum(n: int, c: float) -> float:
         raise ValueError("n must lie in [1, 10^7]")
     if not 0 <= c < math.inf:  # also refuses NaN
         raise ValueError("c must lie in [0, inf)")
-    from ._float_route import _CHUNK, _anchor_terms, _exact_sum  # numpy, on first use
+    from ._float_route import (_CHUNK, _anchor_terms, _exact_sum,  # numpy, on first use
+                               beta_density_at_anchor)
     total = Fraction(0)
     for lo in range(1, n + 1, _CHUNK):
         i, t, one_minus_t = _anchor_terms(n, lo, min(lo + _CHUNK, n + 1))
@@ -172,16 +173,16 @@ def diagonal_coefficients(a: int) -> CoefficientSet:
     entries: dict[tuple[int, int], Fraction] = {}
     for q1 in range(half + 1):
         p1 = half - q1
-        total = Fraction(0)
-        for j in range(a + 1):
-            inner = Fraction(0)
+
+        def inner(j: int) -> Fraction:
+            total = Fraction(0)
             for k in range(1, j + 1):
                 first = (Fraction(k * k - (a - j) ** 2, 2)) ** q1
                 second = ((j - k) * Fraction(2 * j - 1, 2) - Fraction((j - k) ** 2, 2)) ** p1
-                inner += first * second
-            signed = math.comb(a, j) * inner
-            total = total - signed if j % 2 == 0 else total + signed
-        entries[(q1, p1)] = total / (math.factorial(q1) * math.factorial(p1))
+                total += first * second
+            return total
+
+        entries[(q1, p1)] = -finite_difference(a, inner) / math.factorial(q1) / math.factorial(p1)
     return CoefficientSet(a=a, entries=entries)
 
 

@@ -140,27 +140,15 @@ def check_telescoping_product_sum() -> IdentityCheckResult:
 
 def check_power_sum_degree() -> IdentityCheckResult:
     # sum(k=1..n) k^f - n^(f+1)/(f+1) is a polynomial in n of degree <= f:
-    # interpolate on f+1 points and confirm on further points, exactly
+    # its (f+1)-th difference vanishes on every window of n = 1..f+6, exactly
     def g(f: int, n: int) -> Fraction:
         return Fraction(sum(k**f for k in range(1, n + 1))) - Fraction(n ** (f + 1), f + 1)
 
     bad = 0
     for f in range(7):
-        xs = [Fraction(k) for k in range(1, f + 2)]
-        ys = [g(f, k) for k in range(1, f + 2)]
-
-        def interp(y: Fraction) -> Fraction:
-            total = Fraction(0)
-            for s, (xv, yv) in enumerate(zip(xs, ys)):
-                w = Fraction(1)
-                for r, xo in enumerate(xs):
-                    if r != s:
-                        w *= (y - xo) / (xv - xo)
-                total += yv * w
-            return total
-
-        for extra in range(f + 2, f + 7):
-            bad += interp(Fraction(extra)) != g(f, extra)
+        ys = [g(f, n) for n in range(1, f + 7)]
+        for s in range(5):
+            bad += finite_difference(f + 1, lambda j, s=s: ys[s + j]) != 0
     return _result("power-sum-polynomial-degree", bad, 0.0 if bad == 0 else 1.0)
 
 

@@ -34,13 +34,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .combinatorics import rising_factorial
 from .special_functions import _beta_tail
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "EXACT_N_GUARD",
@@ -50,7 +46,6 @@ __all__ = [
     "MomentBreakdown",
     "FloatMomentBreakdown",
     "anchor",
-    "beta_density_at_anchor",
     "per_sensor_moment_exact",
     "total_moment_exact",
     "total_moment_float",
@@ -195,12 +190,6 @@ def total_moment_exact(q: MomentQuery) -> MomentBreakdown:
     scaled = [e.e_total.numerator * (den // e.e_total.denominator) for e in upper]
     total = Fraction(2 * sum(scaled) - (scaled[0] if n % 2 else 0), den)  # middle sensor once
     return MomentBreakdown(per_sensor=tuple(lower + upper), total=total)
-
-
-def beta_density_at_anchor(n: int, i: np.ndarray) -> np.ndarray:
-    """Density of X_i ~ Beta(i, n-i+1) at t_i, for an array of indices i (float route)."""
-    from . import _float_route  # numpy loads here, on first use: the exact route needs none
-    return _float_route.beta_density_at_anchor(n, i)
 
 
 def total_moment_float(q: MomentQuery) -> FloatMomentBreakdown:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .combinatorics import rising_factorial
+
 __all__ = [
     "HalfIntValue",
     "gamma_half_int",
@@ -128,18 +130,13 @@ def gamma_half_int(two_z: int) -> HalfIntValue:
     """Gamma(two_z / 2), exact.
 
     Integer arguments give (z-1)!; half-integer arguments give a rational
-    multiple of sqrt(pi), via Gamma(1/2) = sqrt(pi) and Gamma(z+1) = z Gamma(z).
+    multiple of sqrt(pi), Gamma(m+1/2) = (1/2)^rising(m) sqrt(pi).
     """
     if two_z < 1:
         raise ValueError("gamma_half_int requires two_z >= 1")
     if two_z % 2 == 0:
         return HalfIntValue(Fraction(math.factorial(two_z // 2 - 1)))
-    r = Fraction(1)
-    z = Fraction(two_z, 2)
-    while z > Fraction(1, 2):
-        z -= 1
-        r *= z
-    return HalfIntValue(r, 0, 1)
+    return HalfIntValue(rising_factorial(Fraction(1, 2), two_z // 2), 0, 1)
 
 
 def _as_two_z(x: Rational) -> int:
@@ -194,8 +191,8 @@ def incomplete_beta_regularized_exact(z: Rational, c: int, d: int) -> Fraction:
 def incomplete_beta_step_down(z: Rational, c: int, d: int) -> Fraction:
     """I(z; c, d) via one step of the parameter recurrence.
 
-    I(z;c,d) = I(z;c-1,d) - Gamma(c+d-1)/(Gamma(c)Gamma(d)) z^(c-1)(1-z)^d,
-    with the lower value evaluated directly.  Requires c >= 2.
+    I(z;c,d) = I(z;c-1,d) - Gamma(c+d-1)/(Gamma(c)Gamma(d)) z^(c-1)(1-z)^d, the
+    Gamma ratio being C(c+d-2, c-1), with the lower value direct.  Requires c >= 2.
     """
     z = Fraction(z)
     if c < 2:
@@ -204,7 +201,7 @@ def incomplete_beta_step_down(z: Rational, c: int, d: int) -> Fraction:
         raise ValueError("z must lie in [0, 1]")
     if d < 1:
         raise ValueError("d must be an integer >= 1")
-    coeff = Fraction(math.factorial(c + d - 2), math.factorial(c - 1) * math.factorial(d - 1))
+    coeff = math.comb(c + d - 2, c - 1)
     return incomplete_beta_regularized_exact(z, c - 1, d) - coeff * z ** (c - 1) * (1 - z) ** d
 
 
@@ -213,12 +210,12 @@ def stirling_bounds(m: int) -> tuple[float, float, float]:
 
     Returns (lower, upper, exact_log) where
     lower = sqrt(2 pi) m^(m+1/2) exp(-m + 1/(12m+1)) and upper uses 1/(12m);
-    lower < m! < upper holds strictly for every m >= 1.  Bounds are evaluated
-    in log space first so they survive m beyond factorial float range, and
+    lower < m! < upper holds strictly for every m >= 1.  The bounds are
+    floats, so m is limited to 1..170: 171! and its bounds overflow a double.
     exact_log is log of the big-integer factorial.
     """
-    if m < 1:
-        raise ValueError("stirling_bounds requires m >= 1")
+    if not 1 <= m <= 170:
+        raise ValueError(f"stirling_bounds requires 1 <= m <= 170 (got {m})")
     base = 0.5 * math.log(2 * math.pi) + (m + 0.5) * math.log(m) - m
     log_lower = base + 1.0 / (12 * m + 1)
     log_upper = base + 1.0 / (12 * m)

@@ -32,6 +32,24 @@ def _falling(x, k):
     return out
 
 
+def oracle_diagonal_coefficients(a):
+    # the literal j/k double loop, with the (-1)^(j+1) sign written out
+    half = (a - 1) // 2
+    entries = {}
+    for q1 in range(half + 1):
+        p1 = half - q1
+        total = Fraction(0)
+        for j in range(a + 1):
+            inner = Fraction(0)
+            for k in range(1, j + 1):
+                first = (Fraction(k * k - (a - j) ** 2, 2)) ** q1
+                second = ((j - k) * Fraction(2 * j - 1, 2) - Fraction((j - k) ** 2, 2)) ** p1
+                inner += first * second
+            total += math.comb(a, j) * (-1) ** (j + 1) * inner
+        entries[(q1, p1)] = total / (math.factorial(q1) * math.factorial(p1))
+    return entries
+
+
 def oracle_signed_sum(n, a):
     total = Fraction(0)
     for j in range(a + 1):
@@ -102,7 +120,7 @@ def test_leading_constant_positive_and_decreasing_through_five():
 
 def test_signed_sum_matches_literal_oracle():
     for n in range(1, 61):
-        for a in (1, 3, 5):
+        for a in (1, 3, 5, 7, 9):
             assert vanishing_signed_sum(n, a) == oracle_signed_sum(n, a)
 
 
@@ -211,6 +229,14 @@ def test_diagonal_coefficients_third_order():
     # b(0,1) = 0 - 3 + 5 = 2
     cs = diagonal_coefficients(3)
     assert cs.entries == {(1, 0): Fraction(-2), (0, 1): Fraction(2)}
+
+
+def test_diagonal_coefficients_match_literal_double_loop():
+    for a in range(1, 16, 2):
+        assert diagonal_coefficients(a).entries == oracle_diagonal_coefficients(a)
+    for a in (9, 11, 13, 15):
+        res = verify_diagonal_beta_identity(a)
+        assert res.passed and res.residual == 0.0 and "exact=True" in res.detail
 
 
 def test_diagonal_coefficients_index_structure():

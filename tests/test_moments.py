@@ -15,6 +15,7 @@ from anchor_moments._float_route import (
     _exact_sum,
     _left_tail_start,
     _tail_step,
+    beta_density_at_anchor,
 )
 from anchor_moments.moments import (
     EXACT_N_GUARD,
@@ -22,7 +23,6 @@ from anchor_moments.moments import (
     SensorMoment,
     SizeGuardError,
     anchor,
-    beta_density_at_anchor,
     per_sensor_moment_exact,
     total_moment_exact,
     total_moment_float,

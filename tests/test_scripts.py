@@ -35,23 +35,36 @@ _FAKE_RUN = """import json, sys
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
 if {fail} and seed == 101:
     sys.exit("out of memory")
-metrics = {{m: {{"value": seed / 100}} for m in ("setup_s", "work_s", "peak_rss_mb")}}
+s = seed - 100
+metrics = {{m: {{"value": eval(expr)}} for m, expr in {exprs!r}.items()}}
 print(json.dumps({{"metrics": metrics, "failed": 0, "attempted": 1}}))
 """
+_SEED_OVER_100 = {m: "seed / 100" for m in ("setup_s", "work_s", "peak_rss_mb")}
+_BOUNDS = {"setup_s": 0.25, "work_s": 0.24, "peak_rss_mb": 0.1}
 
 
-def test_bench_pairs_keeps_the_runs_before_a_failing_one(tmp_path):
+def _bench_pairs(tmp_path, sides, *argv):
+    """Run bench_pairs.py on fake trees; sides maps each side to (fail, metric expressions)."""
     trees = {}
-    for side, fail in (("parent", False), ("change", True)):
+    for side, (fail, exprs) in sides.items():
         (tmp_path / side / "perfbench").mkdir(parents=True)
-        (tmp_path / side / "perfbench" / "run.py").write_text(_FAKE_RUN.format(fail=fail))
+        (tmp_path / side / "perfbench" / "run.py").write_text(
+            _FAKE_RUN.format(fail=fail, exprs=exprs))
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": [{"name": m, "bound": b} for m, b in _BOUNDS.items()]}))
         trees[side] = tmp_path / side
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench_pairs.py"),
                            "--parent", str(trees["parent"]), "--change", str(trees["change"]),
-                           "--label", "fake", "--workload", "fake:3:100"],
+                           "--label", "fake", *argv],
                           cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    return proc, trees, json.loads((tmp_path / "BENCH_fake.json").read_text())
+
+
+def test_bench_pairs_keeps_the_runs_before_a_failing_one(tmp_path):
+    proc, trees, report = _bench_pairs(
+        tmp_path, {"parent": (False, _SEED_OVER_100), "change": (True, _SEED_OVER_100)},
+        "--workload", "fake:3:100")
     assert proc.returncode == 1
-    report = json.loads((tmp_path / "BENCH_fake.json").read_text())
     # pair 1 (seed 101) runs the change first, and it fails
     assert report["failed_run"] == {"tree": str(trees["change"].resolve()), "workload": "fake",
                                     "seed": 101, "exit_code": 1, "stderr_tail": "out of memory"}
@@ -59,3 +72,24 @@ def test_bench_pairs_keeps_the_runs_before_a_failing_one(tmp_path):
     assert done["unfinished"] and done["seeds"] == [100, 101, 102]
     one_run = {"setup_s": 1.0, "work_s": 1.0, "peak_rss_mb": 1.0}
     assert done["runs"] == {"parent": [one_run], "change": [one_run]}
+
+
+def test_bench_pairs_gives_each_metric_a_verdict_and_judges_the_claim(tmp_path):
+    # s = 0..9 over the pairs; the parent's quartile spread is 0.45 on a 1.45 median for
+    # setup_s and work_s, wider than either bound
+    parent = {"setup_s": "1 + 0.1 * s", "work_s": "1 + 0.1 * s", "peak_rss_mb": "100 + 0.1 * s"}
+    change = {"setup_s": "0.5 + 0.01 * s", "work_s": "1.05 + 0.1 * s", "peak_rss_mb": "120"}
+    for claim, met in (("setup_s", True), ("work_s", False)):
+        proc, _, report = _bench_pairs(
+            tmp_path / claim, {"parent": (False, parent), "change": (False, change)},
+            "--workload", "fake:10:100", "--claim", f"fake:{claim}")
+        assert proc.returncode == 0, proc.stderr
+        done = report["workloads"]["fake"]
+        verdicts = {m: (done[m]["bound"], done[m]["verdict"]) for m in _BOUNDS}
+        # setup_s: every change run is below every parent run, so the wide spread still resolves
+        assert verdicts == {"setup_s": (0.25, "within"), "work_s": (0.24, "unresolved"),
+                            "peak_rss_mb": (0.1, "worse")}
+        assert done["setup_s"]["relative_change"] == round(0.545 / 1.45 - 1, 4)
+        assert done["peak_rss_mb"]["relative_change"] == round(120 / 100.45 - 1, 4)
+        assert [m for m in _BOUNDS if "claim_met" in done[m]] == [claim]
+        assert done[claim]["claim_met"] is met

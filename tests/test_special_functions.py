@@ -268,3 +268,9 @@ def test_stirling_bounds_exact_log_is_big_integer_log():
 def test_stirling_bounds_rejects_zero():
     with pytest.raises(ValueError):
         stirling_bounds(0)
+
+
+def test_stirling_bounds_rejects_m_beyond_float_range():
+    # 171! and its bounds overflow a double
+    with pytest.raises(ValueError, match="170"):
+        stirling_bounds(171)
