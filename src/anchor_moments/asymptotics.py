@@ -189,8 +189,9 @@ def diagonal_coefficients(a: int) -> CoefficientSet:
 def verify_diagonal_beta_identity(a: int) -> IdentityCheckResult:
     """Check sum 2/sqrt(2 pi) B(a-p1+1/2, 3/2) b[(q1,p1)] == leading_constant(a).
 
-    Both sides are rational multiples of sqrt(2 pi), so the comparison is
-    exact; the residual is the float difference (0.0 on exact equality).
+    Both sides are rational multiples of sqrt(2 pi), so the check passes on
+    exact equality only.  The residual is the float difference, which also
+    reads 0.0 when the sides differ by less than float resolution.
     """
     coeffs = diagonal_coefficients(a)
     prefactor = HalfIntValue(Fraction(2), -1, -1)  # 2 / sqrt(2 pi)
@@ -201,10 +202,9 @@ def verify_diagonal_beta_identity(a: int) -> IdentityCheckResult:
     rhs = leading_constant(a)
     exact = lhs == rhs
     residual = 0.0 if exact else abs(lhs.to_float() - rhs.to_float())
-    passed = exact or residual <= 1e-12
     return IdentityCheckResult(
         name=f"diagonal-beta-identity[a={a}]",
-        passed=passed,
+        passed=exact,
         residual=residual,
         detail=f"lhs={lhs} rhs={rhs} exact={exact}",
     )

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -25,12 +25,7 @@ from .asymptotics import (
     vanishing_tail_correction_sum,
 )
 from .identities import run_suite, suite_names
-from .moments import (
-    EXACT_N_GUARD,
-    MomentQuery,
-    SizeGuardError,
-    total_moment_exact,
-)
+from .moments import EXACT_N_GUARD, MomentQuery, SizeGuardError, total_moment_exact
 from .simulation import SimulationConfig, estimate
 
 _USAGE_ERROR = 2
@@ -42,35 +37,6 @@ if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(0)
 
 
-@dataclass
-class OutputRecord:
-    """One command's output: a named-column table plus run metadata."""
-
-    command: str
-    parameters: dict[str, str]
-    columns: list[str]
-    rows: list[dict[str, str]]
-    metadata: dict[str, str] = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "parameters": self.parameters,
-                "rows": self.rows,
-                "metadata": self.metadata,
-            },
-            indent=2,
-        )
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=self.columns, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(self.rows)
-        return buf.getvalue().rstrip("\n")
-
-
 def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
@@ -79,32 +45,43 @@ def _flt(x: float) -> str:
     return repr(float(x))
 
 
-def _metadata(args: argparse.Namespace, **extra: str) -> dict[str, str]:
-    meta = {"version": __version__}
-    meta.update(extra)
+def _render(args: argparse.Namespace, params: dict[str, str], rows: list[dict[str, str]]) -> str:
+    """One command's table as CSV (columns from the first row) or as JSON with metadata."""
+    if args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        return buf.getvalue().rstrip("\n")
+    metadata = {"version": __version__}
+    if "seed" in args:
+        metadata["seed"] = str(args.seed)
     if not args.no_timestamp:
-        meta["timestamp"] = datetime.now(timezone.utc).isoformat()
-    return meta
+        metadata["timestamp"] = datetime.now(timezone.utc).isoformat()
+    return json.dumps(
+        {
+            "command": args.command,
+            "parameters": params,
+            "rows": rows,
+            "metadata": metadata,
+        },
+        indent=2,
+    )
 
 
-def _emit(record: OutputRecord, args: argparse.Namespace) -> None:
-    text = record.to_csv() if args.format == "csv" else record.to_json()
-    print(text)
+# --- subcommand handlers: (args, parser) -> (parameters, rows) -------------
+
+Table = tuple[dict[str, str], list[dict[str, str]]]
 
 
-# --- subcommand handlers ----------------------------------------------------
-
-
-def _cmd_exact(args: argparse.Namespace) -> tuple[OutputRecord, int]:
-    q = MomentQuery(n=args.n, a=args.a)
-    breakdown = total_moment_exact(q)
+def _cmd_exact(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Table:
+    breakdown = total_moment_exact(MomentQuery(n=args.n, a=args.a))
     params = {"n": str(args.n), "a": str(args.a), "per_sensor": str(args.per_sensor).lower()}
     if args.per_sensor:
         # mirrors share their values, and for even a e_signed_part is e_total
         shared = {id(x): x for e in breakdown.per_sensor
                   for x in (e.e_total, e.e_signed_part, e.e_folded_part)}
         texts = {key: _frac(x) for key, x in shared.items()}
-        columns = ["i", "t", "e_total", "e_signed_part", "e_folded_part", "e_total_approx"]
         rows = [
             {
                 "i": str(e.i),
@@ -127,17 +104,13 @@ def _cmd_exact(args: argparse.Namespace) -> tuple[OutputRecord, int]:
             }
         )
     else:
-        columns = ["total", "total_approx"]
         rows = [{"total": _frac(breakdown.total), "total_approx": _flt(float(breakdown.total))}]
-    record = OutputRecord("exact", params, columns, rows, _metadata(args))
-    return record, 0
+    return params, rows
 
 
-def _cmd_simulate(args: argparse.Namespace) -> tuple[OutputRecord, int]:
-    config = SimulationConfig(n=args.n, a=args.a, trials=args.trials,
-                              seed=args.seed, workers=args.workers)
-    result = estimate(config)
-    columns = ["mean", "std_error", "ci_low", "ci_high", "trials", "seed"]
+def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Table:
+    result = estimate(SimulationConfig(n=args.n, a=args.a, trials=args.trials,
+                                       seed=args.seed, workers=args.workers))
     row = {
         "mean": _flt(result.mean),
         "std_error": _flt(result.std_error),
@@ -149,24 +122,20 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[OutputRecord, int]:
     if args.n <= EXACT_N_GUARD:
         exact = total_moment_exact(MomentQuery(n=args.n, a=args.a)).total
         z = (result.mean - float(exact)) / result.std_error if result.std_error > 0 else float("nan")
-        columns += ["exact", "exact_approx", "z_score"]
         row["exact"] = _frac(exact)
         row["exact_approx"] = _flt(float(exact))
         row["z_score"] = _flt(z)
     params = {"n": str(args.n), "a": str(args.a), "trials": str(args.trials),
               "seed": str(args.seed), "workers": str(args.workers)}
-    record = OutputRecord("simulate", params, columns, [row],
-                          _metadata(args, seed=str(args.seed)))
-    return record, 0
+    return params, [row]
 
 
-def _cmd_asymptotic(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[OutputRecord, int]:
+def _cmd_asymptotic(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Table:
     if args.theorem == 1 and args.a % 2 != 0:
         parser.error("--theorem 1 covers even a")
     if args.theorem == 2 and args.a % 2 != 1:
         parser.error("--theorem 2 covers odd a")
     report = remainder_diagnostic(args.a, args.grid)
-    columns = ["n", "measured", "normalized", "constant", "fitted_exponent"]
     rows = [
         {
             "n": str(n),
@@ -184,11 +153,10 @@ def _cmd_asymptotic(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         "constant_exact": str(report.constant),
         "degenerate_fit": str(report.degenerate_fit).lower(),
     }
-    record = OutputRecord("asymptotic", params, columns, rows, _metadata(args))
-    return record, 0
+    return params, rows
 
 
-def _cmd_lemma(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[OutputRecord, int]:
+def _cmd_lemma(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Table:
     grid = args.grid if args.grid is not None else [args.n]
     params = {"id": str(args.id), "grid": ",".join(str(n) for n in grid)}
     rows = []
@@ -200,7 +168,6 @@ def _cmd_lemma(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tup
         params["a"] = str(args.a)
         fn = vanishing_signed_sum if args.id == 1 else vanishing_tail_correction_sum
         half = (args.a - 1) // 2
-        columns = ["n", "value", "value_approx", "normalized"]
         for n in grid:
             v = fn(n, args.a)
             rows.append(
@@ -217,17 +184,14 @@ def _cmd_lemma(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tup
         if args.a is not None:
             parser.error("--a applies to --id 1 and --id 2 only")
         params["c"] = _flt(args.c)
-        columns = ["n", "value", "normalized"]
         for n in grid:
             v = abel_anchor_sum(n, args.c)
             rows.append({"n": str(n), "value": _flt(v), "normalized": _flt(v / n**1.5)})
-    record = OutputRecord("lemma", params, columns, rows, _metadata(args))
-    return record, 0
+    return params, rows
 
 
-def _cmd_identities(args: argparse.Namespace) -> tuple[OutputRecord, int]:
+def _cmd_identities(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Table:
     results = run_suite(args.suite)
-    columns = ["name", "passed", "residual", "detail"]
     rows = [
         {
             "name": r.name,
@@ -239,15 +203,17 @@ def _cmd_identities(args: argparse.Namespace) -> tuple[OutputRecord, int]:
     ]
     failures = sum(not r.passed for r in results)
     params = {"suite": args.suite, "checks": str(len(results)), "failures": str(failures)}
-    record = OutputRecord("identities", params, columns, rows, _metadata(args))
-    return record, 0 if failures == 0 else 1
+    return params, rows
 
 
 # --- parser -----------------------------------------------------------------
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # refused below, like any count under 1
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
     return value
@@ -272,16 +238,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, handler: Callable[..., Table]) -> None:
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp from metadata (stable output)")
+        p.set_defaults(handler=handler)
 
     p_exact = sub.add_parser("exact", help="exact total expected cost")
     p_exact.add_argument("--n", type=_positive_int, required=True)
     p_exact.add_argument("--a", type=_positive_int, required=True)
     p_exact.add_argument("--per-sensor", action="store_true", dest="per_sensor")
-    common(p_exact)
+    common(p_exact, _cmd_exact)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo estimate")
     p_sim.add_argument("--n", type=_positive_int, required=True)
@@ -289,14 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--trials", type=_positive_int, default=100_000)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--workers", type=_positive_int, default=1)
-    common(p_sim)
+    common(p_sim, _cmd_simulate)
 
     p_asym = sub.add_parser("asymptotic", help="leading-constant convergence on a grid")
     p_asym.add_argument("--theorem", type=int, choices=(1, 2), required=True,
                         help="1: even-order result, 2: odd-order result")
     p_asym.add_argument("--a", type=_positive_int, required=True)
     p_asym.add_argument("--grid", type=_grid, required=True)
-    common(p_asym)
+    common(p_asym, _cmd_asymptotic)
 
     p_lem = sub.add_parser("lemma", help="diagnostic sums with their normalizations")
     p_lem.add_argument("--id", type=int, choices=(1, 2, 4), required=True)
@@ -305,11 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_lem.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=_positive_int)
     group.add_argument("--grid", type=_grid)
-    common(p_lem)
+    common(p_lem, _cmd_lemma)
 
     p_id = sub.add_parser("identities", help="run the verified-identity suites")
     p_id.add_argument("--suite", choices=suite_names(), default="all")
-    common(p_id)
+    common(p_id, _cmd_identities)
 
     return parser
 
@@ -318,29 +285,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+        params, rows = args.handler(args, parser)
+    except SystemExit as exc:  # --help, and usage errors from the parser or a handler
         return int(exc.code) if exc.code is not None else 0
-    try:
-        if args.command == "exact":
-            record, code = _cmd_exact(args)
-        elif args.command == "simulate":
-            record, code = _cmd_simulate(args)
-        elif args.command == "asymptotic":
-            record, code = _cmd_asymptotic(args, parser)
-        elif args.command == "lemma":
-            record, code = _cmd_lemma(args, parser)
-        else:
-            record, code = _cmd_identities(args)
-    except SystemExit as exc:  # parser.error inside handlers
-        return int(exc.code) if exc.code is not None else 0
-    except SizeGuardError as exc:
+    except ValueError as exc:  # SizeGuardError is a ValueError too
         print(f"error: {exc}", file=sys.stderr)
-        return _GUARD_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_ERROR
-    _emit(record, args)
-    return code
+        return _GUARD_ERROR if isinstance(exc, SizeGuardError) else _USAGE_ERROR
+    print(_render(args, params, rows))
+    return 0 if params.get("failures", "0") == "0" else 1  # identities: a check failed
 
 
 if __name__ == "__main__":

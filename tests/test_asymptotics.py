@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from anchor_moments import asymptotics
 from anchor_moments.asymptotics import (
+    CoefficientSet,
     abel_anchor_sum,
     diagonal_coefficients,
     leading_constant,
@@ -270,6 +272,20 @@ def test_diagonal_beta_identity_first_order_value():
     res = verify_diagonal_beta_identity(1)
     assert res.passed
     assert leading_constant(1) == HalfIntValue(Fraction(1, 8), 1, 1)
+
+
+def test_diagonal_beta_identity_fails_when_not_exact(monkeypatch):
+    # a 10^-30 shift in one coefficient vanishes in the float residual, not in the exact sides
+    def perturbed(a):
+        entries = dict(diagonal_coefficients(a).entries)
+        key = next(iter(entries))
+        entries[key] += Fraction(1, 10**30)
+        return CoefficientSet(a, entries)
+
+    monkeypatch.setattr(asymptotics, "diagonal_coefficients", perturbed)
+    res = verify_diagonal_beta_identity(3)
+    assert res.passed is False
+    assert "exact=False" in res.detail
 
 
 # --- remainder diagnostics ------------------------------------------------------------------

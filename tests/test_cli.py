@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from anchor_moments import cli
+from anchor_moments import IdentityCheckResult, cli, identities
 from anchor_moments.cli import _frac, main
 
 
@@ -90,6 +90,12 @@ def test_exact_per_sensor_formats_even_order_signed_part_once(capsys, monkeypatc
 def test_exact_invalid_n_exits_2(capsys):
     code, _, _ = run_cli(capsys, "exact", "--n", "0", "--a", "1")
     assert code == 2
+
+
+def test_exact_non_integer_n_exits_2_with_the_positive_integer_message(capsys):
+    code, out, err = run_cli(capsys, "exact", "--n", "abc", "--a", "1")
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].endswith("argument --n: expected a positive integer, got abc")
 
 
 def test_exact_missing_flag_exits_2(capsys):
@@ -246,12 +252,58 @@ def test_identities_technical2b_suite(capsys):
     assert all(r["passed"] == "true" and float(r["residual"]) <= 1e-12 for r in rows)
 
 
+def test_identities_failure_exits_1_and_prints_the_whole_table(capsys, monkeypatch):
+    def failing_check():
+        return IdentityCheckResult(name="planted-failure", passed=False, residual=1.0,
+                                   detail="planted")
+
+    checks = list(identities.SUITES["gould"])
+    checks[0] = failing_check
+    monkeypatch.setitem(identities.SUITES, "gould", checks)
+    code, out, _ = run_cli(capsys, "identities", "--suite", "gould", "--no-timestamp")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["parameters"]["checks"] == str(len(checks))
+    assert payload["parameters"]["failures"] == "1"
+    rows = payload["rows"]
+    assert len(rows) == len(checks)
+    assert rows[0] == {"name": "planted-failure", "passed": "false", "residual": "1.0",
+                       "detail": "planted"}
+    assert all(r["passed"] == "true" for r in rows[1:])
+
+    code, out, _ = run_cli(capsys, "identities", "--suite", "gould", "--format", "csv",
+                           "--no-timestamp")
+    assert code == 1
+    csv_rows = list(csv.DictReader(io.StringIO(out)))
+    assert [dict(r) for r in csv_rows] == rows
+
+
 def test_identities_bad_suite_exits_2(capsys):
     code, _, _ = run_cli(capsys, "identities", "--suite", "bogus")
     assert code == 2
 
 
 # --- output format invariants ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, header", [
+    (("exact", "--n", "2", "--a", "1"), "total,total_approx"),
+    (("exact", "--n", "2", "--a", "1", "--per-sensor"),
+     "i,t,e_total,e_signed_part,e_folded_part,e_total_approx"),
+    (("simulate", "--n", "2000", "--a", "2", "--trials", "100"),
+     "mean,std_error,ci_low,ci_high,trials,seed,exact,exact_approx,z_score"),
+    (("simulate", "--n", "2001", "--a", "2", "--trials", "100"),
+     "mean,std_error,ci_low,ci_high,trials,seed"),
+    (("asymptotic", "--theorem", "1", "--a", "2", "--grid", "100,1000"),
+     "n,measured,normalized,constant,fitted_exponent"),
+    (("lemma", "--id", "1", "--a", "3", "--n", "10"), "n,value,value_approx,normalized"),
+    (("lemma", "--id", "4", "--c", "0", "--n", "100"), "n,value,normalized"),
+    (("identities", "--suite", "technical2b"), "name,passed,residual,detail"),
+])
+def test_csv_header_line(capsys, argv, header):
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv", "--no-timestamp")
+    assert code == 0
+    assert out.splitlines()[0] == header
 
 
 def test_csv_json_payloads_match(capsys):

@@ -31,6 +31,35 @@ def test_mc_vs_exact_prints_one_row_per_pair():
     assert all(len(r) == 6 for r in rows)
 
 
+_COMPARED = ("exact --n 2 --a 1 --format csv", "exact --n 0 --a 1", "--help")
+
+
+def _compare_cli(parent, change):
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / "compare_cli.py"),
+                           str(parent), str(change), *_COMPARED],
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_compare_cli_finds_a_tree_the_same_as_itself():
+    proc = _compare_cli(ROOT / "src", ROOT / "src")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"same     {command}" for command in _COMPARED]
+
+
+def test_compare_cli_names_the_commands_that_differ(tmp_path):
+    fake = tmp_path / "anchor_moments"
+    fake.mkdir()
+    (fake / "__init__.py").write_text("")
+    (fake / "cli.py").write_text("def main(argv):\n    print('something else')\n    return 0\n")
+    proc = _compare_cli(ROOT / "src", tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"differs  {_COMPARED[0]}  (stdout)",
+        f"differs  {_COMPARED[1]}  (stdout, stderr, exit code)",
+        f"differs  {_COMPARED[2]}  (stdout)",
+    ]
+
+
 _FAKE_RUN = """import json, sys
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
 if {fail} and seed == 101:
