@@ -40,8 +40,13 @@ COMMANDS = (
     "asymptotic --theorem 2 --a 3 --grid 1000,100000 --format csv",
     "lemma --id 4 --c 0.5 --n 300 --format csv",
     "identities --suite technical2b --format csv",
+    # even totals in closed form past the size guard
+    "exact --n 1000000000 --a 4",
+    "exact --n 2001 --a 2",
+    "simulate --n 2001 --a 2 --trials 2000 --seed 1",
     # size guard: exit 3
     "exact --n 2001 --a 1",
+    "exact --n 2001 --a 2 --per-sensor",
     # usage errors: exit 2
     "exact --n 0 --a 1",
     "asymptotic --theorem 1 --a 3 --grid 10,100",

@@ -40,6 +40,7 @@ from .moments import (
     SizeGuardError,
     anchor,
     per_sensor_moment_exact,
+    signed_moment_total,
     total_moment_exact,
     total_moment_float,
 )

@@ -1,6 +1,6 @@
-"""Float route of moments.py, on numpy arrays.  moments.total_moment_float, and the
-lemma 4 and float-Beta checks for the density, load it on first call, so the exact
-route and the CLI start without numpy."""
+"""Float route of moments.py for odd orders, on numpy arrays.  moments.total_moment_float
+at odd a, and the lemma 4 and float-Beta checks for the density, load it on first call, so
+the exact route and the CLI start without numpy."""
 
 from __future__ import annotations
 
@@ -167,13 +167,14 @@ def _left_tail_start(n: int, i: np.ndarray, q: np.ndarray, dens: np.ndarray,
 
 
 def _passes(q: MomentQuery) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """The computed sensors i > n/2 in passes of at most _CHUNK: for each pass, its first
-    sensor and its e_total, e_signed_part and e_folded_part arrays.
+    """For odd a, the computed sensors i > n/2 in passes of at most _CHUNK: for each pass,
+    its first sensor and its e_total, e_signed_part and e_folded_part arrays.
 
-    E(t-X)^a gives the even orders and the signed parts, 2 L_a the folded parts and
-    2 L_a - E(t-X)^a the odd totals; L_0 comes from _left_tail_start, whose carry joins
-    the passes.  Each field is formed elementwise and each pass starts on a chain anchor,
-    so the bits do not depend on _CHUNK.  The middle sensor of odd n leads the first pass.
+    -E(t-X)^a gives the signed parts, 2 L_a the folded parts and 2 L_a - E(t-X)^a the
+    totals; L_0 comes from _left_tail_start, whose carry joins the passes.  Each field is
+    formed elementwise and each pass starts on a chain anchor, so the bits do not depend on
+    _CHUNK.  The middle sensor of odd n leads the first pass.  Even orders take the closed
+    form, moments.signed_moment_total.
     """
     n, a = q.n, q.a
     carry: list[int] = []
@@ -182,9 +183,6 @@ def _passes(q: MomentQuery) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.nd
         h = (2.0 * i - 1.0 - n) / (2 * n)  # t - 1/2
         tq = t * one_minus_t
         full = _left_moment(n, a, tq, h, 0.0, 1.0)
-        if not q.odd:
-            yield lo, full, full, np.zeros_like(full)
-            continue
         dens = beta_density_at_anchor(n, i)
         start = _left_tail_start(n, i, one_minus_t, dens, carry)
         left = _left_moment(n, a, tq, h, tq * dens, start)
@@ -192,15 +190,14 @@ def _passes(q: MomentQuery) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.nd
 
 
 def total_moment_float(q: MomentQuery) -> FloatMomentBreakdown:
-    """Float total of the expected cost, n up to 10^7.
+    """Float total of the expected cost for odd a, n up to 10^7 (moments.total_moment_float
+    checks both).
 
     By reflection E_i = E_(n+1-i), so the total is twice the exact sum of the computed
     half (_passes) less the middle sensor of odd n, rounded once; no per-sensor array
     outlives its pass.
     """
     n = q.n
-    if n > 10**7:
-        raise ValueError("float path supports n <= 10^7")
     total = Fraction(0)
     for lo, e_total, _, _ in _passes(q):
         total += 2 * _exact_sum(e_total)

@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorics import finite_difference, rising_factorial
+from .combinatorics import finite_difference
 from .moments import (EXACT_N_GUARD, MomentQuery, SizeGuardError, _moment_denominator,
-                      _scaled_left_moment, total_moment_float)
+                      _scaled_left_moment, signed_moment_total, total_moment_float)
 from .special_functions import HalfIntValue, _beta_tail, beta_exact, gamma_half_int
 
 __all__ = [
@@ -82,7 +82,8 @@ def vanishing_signed_sum(n: int, a: int) -> Fraction:
     """Diagnostic sum 1 (odd a): the reduced total of the signed parts.
 
     sum(j=0..a) sum(i=1..n) n^(j-a) C(a,j)(-1)^j (i-1/2)^(a-j)
-    * i^rising(j) / (n+1)^rising(j), exact.  Equals minus the sum of the
+    * i^rising(j) / (n+1)^rising(j) = sum_i E(t_i - X_i)^a, exact: the closed
+    form moments.signed_moment_total.  Equals minus the sum of the
     per-sensor signed parts, which is in fact exactly zero for every odd a:
     the reflection X_i <-> 1 - X_(n+1-i) maps t_i to 1 - t_(n+1-i) and flips
     the sign of the signed integrand, so terms cancel pairwise.  The
@@ -93,20 +94,7 @@ def vanishing_signed_sum(n: int, a: int) -> Fraction:
         raise ValueError("n must be >= 1")
     if a < 1 or a % 2 == 0:
         raise ValueError("a must be an odd natural number")
-
-    def term(j: int) -> Fraction:
-        # sum_i (2i-1)^(a-j) * i^rising(j) in integers; a running-product table of i^rising(j)
-        # takes up to half the time of one rising_factorial call per sensor
-        inner = 0
-        rf = [1] * (n + 1)
-        for u in range(j):
-            for i in range(1, n + 1):
-                rf[i] *= i + u
-        for i in range(1, n + 1):
-            inner += (2 * i - 1) ** (a - j) * rf[i]
-        return Fraction(n**j * inner, 2 ** (a - j) * n**a * rising_factorial(n + 1, j))
-
-    return finite_difference(a, term)
+    return signed_moment_total(MomentQuery(n=n, a=a))
 
 
 def vanishing_tail_correction_sum(n: int, a: int) -> Fraction:
@@ -239,7 +227,7 @@ def remainder_diagnostic(a: int, n_grid: list[int] | tuple[int, ...]) -> Asympto
     usable = [(math.log(n), math.log(abs(r))) for n, s, r in zip(grid, measured, residuals)
               if abs(r) > _FLOAT_NOISE_FLOOR * abs(s)]
     if len(usable) >= 2:
-        import numpy as np  # loaded already by the float totals above
+        import numpy as np  # odd-order float totals loaded it already; even ones do not
         xs, ys = zip(*usable)
         slope = float(np.polyfit(xs, ys, 1)[0])
         degenerate = len(usable) < len(grid)

@@ -25,7 +25,8 @@ from .asymptotics import (
     vanishing_tail_correction_sum,
 )
 from .identities import run_suite, suite_names
-from .moments import EXACT_N_GUARD, MomentQuery, SizeGuardError, total_moment_exact
+from .moments import (EXACT_N_GUARD, MomentQuery, SizeGuardError, signed_moment_total,
+                      total_moment_exact)
 from .simulation import SimulationConfig, estimate
 
 _USAGE_ERROR = 2
@@ -74,10 +75,16 @@ def _render(args: argparse.Namespace, params: dict[str, str], rows: list[dict[st
 Table = tuple[dict[str, str], list[dict[str, str]]]
 
 
+def _exact_total(q: MomentQuery) -> Fraction:
+    """The closed form for even a, at any n; the per-sensor route, guarded, for odd a."""
+    return total_moment_exact(q).total if q.odd else signed_moment_total(q)
+
+
 def _cmd_exact(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Table:
-    breakdown = total_moment_exact(MomentQuery(n=args.n, a=args.a))
+    q = MomentQuery(n=args.n, a=args.a)
     params = {"n": str(args.n), "a": str(args.a), "per_sensor": str(args.per_sensor).lower()}
     if args.per_sensor:
+        breakdown = total_moment_exact(q)
         # mirrors share their values, and for even a e_signed_part is e_total
         shared = {id(x): x for e in breakdown.per_sensor
                   for x in (e.e_total, e.e_signed_part, e.e_folded_part)}
@@ -104,7 +111,8 @@ def _cmd_exact(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Tab
             }
         )
     else:
-        rows = [{"total": _frac(breakdown.total), "total_approx": _flt(float(breakdown.total))}]
+        total = _exact_total(q)
+        rows = [{"total": _frac(total), "total_approx": _flt(float(total))}]
     return params, rows
 
 
@@ -119,8 +127,8 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         "trials": str(result.trials),
         "seed": str(result.seed),
     }
-    if args.n <= EXACT_N_GUARD:
-        exact = total_moment_exact(MomentQuery(n=args.n, a=args.a)).total
+    if args.a % 2 == 0 or args.n <= EXACT_N_GUARD:
+        exact = _exact_total(MomentQuery(n=args.n, a=args.a))
         z = (result.mean - float(exact)) / result.std_error if result.std_error > 0 else float("nan")
         row["exact"] = _frac(exact)
         row["exact_approx"] = _flt(float(exact))

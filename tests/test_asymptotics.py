@@ -14,7 +14,8 @@ from anchor_moments.asymptotics import (
     vanishing_tail_correction_sum,
     verify_diagonal_beta_identity,
 )
-from anchor_moments.moments import MomentQuery, per_sensor_moment_exact
+from anchor_moments.combinatorics import finite_difference
+from anchor_moments.moments import MomentQuery, per_sensor_moment_exact, signed_moment_total
 from anchor_moments.special_functions import HalfIntValue
 
 # --- literal transcription oracles (independent nested loops, Fractions) --------
@@ -124,6 +125,25 @@ def test_signed_sum_matches_literal_oracle():
     for n in range(1, 61):
         for a in (1, 3, 5, 7, 9):
             assert vanishing_signed_sum(n, a) == oracle_signed_sum(n, a)
+
+
+@pytest.mark.parametrize("a", [a for a in range(2, 21) if a % 2 == 0 or a > 9])
+def test_signed_moment_total_matches_literal_oracle(a):
+    # odd a <= 9 run in test_signed_sum_matches_literal_oracle
+    for n in range(1, 61):
+        assert signed_moment_total(MomentQuery(n, a)) == oracle_signed_sum(n, a), n
+
+
+@pytest.mark.parametrize("a", range(2, 11, 2))
+def test_even_total_is_a_polynomial_led_by_the_constant(a):
+    # Kapelko and Kranakis's even-order result S(n,a) ~ C(a) n^(1-a/2) holds exactly:
+    # n^(a-1) S(n,a) is a polynomial of degree a/2 in n whose leading coefficient is C(a)
+    d = a // 2
+    p = [n ** (a - 1) * signed_moment_total(MomentQuery(n, a)) for n in range(1, 3 * a + 4)]
+    for lo in range(len(p) - d - 1):
+        assert finite_difference(d + 1, lambda j: p[lo + j]) == 0, lo
+    lead = (-1) ** d * finite_difference(d, lambda j: p[j]) / math.factorial(d)
+    assert HalfIntValue(lead) == leading_constant(a)
 
 
 def test_signed_sum_vanishes_identically():

@@ -109,6 +109,22 @@ def test_exact_size_guard_exits_3(capsys):
     assert "guard" in err
 
 
+def test_exact_per_sensor_size_guard_exits_3_for_even_orders(capsys):
+    code, _, err = run_cli(capsys, "exact", "--n", "2001", "--a", "2", "--per-sensor")
+    assert code == 3
+    assert "guard" in err
+
+
+def test_exact_even_totals_pass_the_size_guard(capsys):
+    code, out, _ = run_cli(capsys, "exact", "--n", "2001", "--a", "2", "--no-timestamp")
+    assert code == 0
+    assert Fraction(json.loads(out)["rows"][0]["total"]) == Fraction(1, 6) - Fraction(1, 12 * 2001)
+    code, out, _ = run_cli(capsys, "exact", "--n", "1000000000", "--a", "4", "--no-timestamp")
+    assert code == 0
+    # C(4) n^-1 = n^-1 / 10, with a relative correction of order 1/n
+    assert float(json.loads(out)["rows"][0]["total_approx"]) == pytest.approx(1e-10, rel=1e-8)
+
+
 # --- simulate -----------------------------------------------------------------
 
 
@@ -293,12 +309,14 @@ def test_identities_bad_suite_exits_2(capsys):
     (("simulate", "--n", "2000", "--a", "2", "--trials", "100"),
      "mean,std_error,ci_low,ci_high,trials,seed,exact,exact_approx,z_score"),
     (("simulate", "--n", "2001", "--a", "2", "--trials", "100"),
-     "mean,std_error,ci_low,ci_high,trials,seed"),
+     "mean,std_error,ci_low,ci_high,trials,seed,exact,exact_approx,z_score"),
     (("asymptotic", "--theorem", "1", "--a", "2", "--grid", "100,1000"),
      "n,measured,normalized,constant,fitted_exponent"),
     (("lemma", "--id", "1", "--a", "3", "--n", "10"), "n,value,value_approx,normalized"),
     (("lemma", "--id", "4", "--c", "0", "--n", "100"), "n,value,normalized"),
     (("identities", "--suite", "technical2b"), "name,passed,residual,detail"),
+    (("simulate", "--n", "2001", "--a", "1", "--trials", "100"),
+     "mean,std_error,ci_low,ci_high,trials,seed"),
 ])
 def test_csv_header_line(capsys, argv, header):
     code, out, _ = run_cli(capsys, *argv, "--format", "csv", "--no-timestamp")
@@ -348,6 +366,7 @@ print(json.dumps({
         loaded(),
         loaded("exact", "--n", "7", "--a", "3"),
         loaded("exact", "--n", "7", "--a", "3", "--per-sensor"),
+        loaded("exact", "--n", "5000", "--a", "2"),
         loaded("lemma", "--id", "1", "--a", "3", "--grid", "10,100"),
         loaded("lemma", "--id", "2", "--a", "1", "--n", "50"),
         *(loaded("identities", "--suite", s) for s in suite_names() if s not in ("beta", "all")),
@@ -412,8 +431,9 @@ def test_scipy_and_the_process_pool_load_only_when_used(modules_after_commands):
 
 
 def test_numpy_loads_only_when_used(modules_after_commands):
-    # importing the CLI and building its parser, exact totals and tables, lemmas 1 and 2 and
-    # every identity suite but the float-Beta one run in exact arithmetic
+    # importing the CLI and building its parser, exact totals (even ones past the size guard)
+    # and tables, lemmas 1 and 2 and every identity suite but the float-Beta one run in
+    # exact arithmetic
     seen = modules_after_commands
     assert len(seen["numpy_free"]) >= 10
     assert not any(s["numpy"] for s in seen["numpy_free"])

@@ -22,8 +22,11 @@ from anchor_moments.moments import (
     MomentQuery,
     SensorMoment,
     SizeGuardError,
+    _moment_denominator,
+    _scaled_left_moment,
     anchor,
     per_sensor_moment_exact,
+    signed_moment_total,
     total_moment_exact,
     total_moment_float,
 )
@@ -193,6 +196,23 @@ def test_exact_size_guard():
         total_moment_exact(MomentQuery(EXACT_N_GUARD + 1, 1))
 
 
+@pytest.mark.parametrize("a", range(2, 21, 2))
+def test_signed_moment_total_matches_the_per_sensor_route(a):
+    # for even a each sensor's signed part is its e_total, so the total is their sum
+    for n in range(1, 401):
+        q = MomentQuery(n, a)
+        assert signed_moment_total(q) == total_moment_exact(q).total, n
+
+
+def test_signed_moment_total_matches_the_integer_recurrence_at_large_n():
+    # E(t_i - X_i)^a for every sensor from the Pearson recurrence, summed as integers
+    for n in (10**4, 10**5):
+        for a in (2, 4, 8):
+            numerators = sum(_scaled_left_moment(n, a, i, 0, 1) for i in range(1, n + 1))
+            want = Fraction(numerators, _moment_denominator(n, a))
+            assert signed_moment_total(MomentQuery(n, a)) == want, (n, a)
+
+
 def test_query_validation():
     with pytest.raises(ValueError):
         MomentQuery(0, 1)
@@ -283,11 +303,14 @@ def test_float_path_rejects_oversize():
         total_moment_float(MomentQuery(10**7 + 1, 1))
 
 
+def _quadratic_total(n: int) -> Fraction:
+    """S(n,2) = 1/6 - 1/(12n), exactly."""
+    return Fraction(1, 6) - Fraction(1, 12 * n)
+
+
 def test_float_even_order_closed_form():
-    # S(n,2) = 1/6 - 1/(12n) exactly
     for n in (3000, 100_000):
-        s = total_moment_float(MomentQuery(n, 2)).total
-        assert s == pytest.approx(1 / 6 - 1 / (12 * n), rel=1e-14)
+        assert total_moment_float(MomentQuery(n, 2)).total == float(_quadratic_total(n))
 
 
 def _assert_fields_match(fl, i: int, e: SensorMoment, rel: float = 1e-12) -> None:
@@ -301,10 +324,14 @@ def _assert_fields_match(fl, i: int, e: SensorMoment, rel: float = 1e-12) -> Non
 
 
 def test_float_every_field_matches_exact():
-    # every computed sensor, the middle and the top ones included
+    # every computed sensor, the middle and the top ones included; an even total is the
+    # correctly rounded exact one
     for n in (1, 2, 3, 7, 40, 200):
         for a in range(1, 10):
             q = MomentQuery(n, a)
+            if a % 2 == 0:
+                assert total_moment_float(q).total == float(total_moment_exact(q).total)
+                continue
             fl = _float_fields(n, a)
             for e in total_moment_exact(q).per_sensor[n // 2:]:
                 _assert_fields_match(fl, e.i, e)
@@ -313,7 +340,8 @@ def test_float_every_field_matches_exact():
 def test_float_top_sensors_match_exact_large_n():
     # 1 - t_i is small here: forming it as 1.0 - t_i costs about 1e-12
     n = 20_000
-    for a in (1, 2, 9):
+    assert total_moment_float(MomentQuery(n, 2)).total == float(_quadratic_total(n))
+    for a in (1, 9):
         q = MomentQuery(n, a)
         fl = _float_fields(n, a)
         for i in range(n - 29, n + 1):
@@ -323,7 +351,8 @@ def test_float_top_sensors_match_exact_large_n():
 def test_float_total_is_the_rounded_sum_of_its_sensors():
     # the total is summed over the computed half only, each mirrored pair twice
     for n in (1, 2, 3, 7, 2000, 2001, 100_001):
-        for a in (1, 2, 9):
+        assert total_moment_float(MomentQuery(n, 2)).total == float(_quadratic_total(n))
+        for a in (1, 9):
             _, e_total, _, _ = _float_fields(n, a)
             want = math.fsum(np.concatenate([e_total, e_total[n % 2:]]))  # the middle once
             assert total_moment_float(MomentQuery(n, a)).total == want
@@ -340,8 +369,13 @@ def _float_bytes(n: int, a: int) -> tuple[bytes, ...]:
                                  (2 * 2**14 + 2 * 128 + 1, 2), (2 * 2**14 + 2 * 128 + 1, 9),
                                  (2 * 2**14 + 2 * 128 + 2, 1), (33350, 9)])
 def test_float_bits_do_not_depend_on_the_chunk_size(monkeypatch, n, a):
-    # passes must start on the lattice chain's anchors, with the carry of the pass below
+    # passes must start on the lattice chain's anchors, with the carry of the pass below;
+    # an even total is the rounded closed form and runs no pass
     assert _CHUNK % _ANCHOR_EVERY == 0
+    if a % 2 == 0:
+        monkeypatch.setattr(_float_route, "_passes", None)
+        assert total_moment_float(MomentQuery(n, a)).total == float(_quadratic_total(n))
+        return
     want = _float_bytes(n, a)
     if n % 2 and a % 2:  # the middle sensor, which leads the first pass, has signed part -0.0
         assert np.signbit(_float_fields(n, a)[2][0])

@@ -27,7 +27,8 @@ def test_mc_vs_exact_prints_one_row_per_pair():
     lines = run_script("mc_vs_exact.py", "--trials", "4096")
     assert lines[0].split() == ["n", "a", "exact", "mc", "mean", "std", "err", "z"]
     rows = [line.split() for line in lines[1:]]
-    assert [(int(r[0]), int(r[1])) for r in rows] == [(2, 1), (5, 1), (10, 3), (50, 2), (200, 1)]
+    assert [(int(r[0]), int(r[1])) for r in rows] == [(2, 1), (5, 1), (10, 3), (50, 2), (200, 1),
+                                                     (5000, 2)]
     assert all(len(r) == 6 for r in rows)
 
 
