@@ -17,7 +17,12 @@ _CHUNK = 2**14  # a multiple of _ANCHOR_EVERY, so a pass starts on a chain ancho
 
 
 def _exact_sum(x: np.ndarray) -> Fraction:
-    """Exact sum of a float array, in passes of _CHUNK; float() of it is math.fsum(x).
+    """Exact sum of a float array; float() of it is math.fsum(x)."""
+    return Fraction(_exact_units(x), 1 << 1126)
+
+
+def _exact_units(x: np.ndarray) -> int:
+    """Exact sum of a float array, in passes of _CHUNK, as an integer multiple of 2^-1126.
 
     np.frexp gives x = M 2^(e-53), M an integer below 2^53 in size, split as hi 2^26 + lo
     with |hi| <= 2^27 and 0 <= lo < 2^26.  np.bincount over e sums each part exactly in
@@ -36,7 +41,7 @@ def _exact_sum(x: np.ndarray) -> Fraction:
         bins = np.flatnonzero((hi_sums != 0) | (lo_sums != 0))
         for b, hs, ls in zip(bins.tolist(), hi_sums[bins].tolist(), lo_sums[bins].tolist()):
             total += ((int(hs) << 26) + int(ls)) << b
-    return Fraction(total, 1 << 1126)
+    return total
 
 
 def _anchor_terms(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -203,10 +203,11 @@ def remainder_diagnostic(a: int, n_grid: list[int] | tuple[int, ...]) -> Asympto
 
     measured = total cost (float path); normalized = measured / n^(1-a/2),
     which approaches leading_constant(a).  The fit regresses
-    log|measured - C n^(1-a/2)| on log n; points whose residual is below the
-    float noise floor relative to the total are dropped, and a fit with fewer
-    than two usable points is reported as degenerate (exponent NaN) rather
-    than failed.
+    log|measured - C n^(1-a/2)| on log n: the least-squares slope of those
+    float points, computed exactly and rounded once.  Points whose residual is
+    below the float noise floor relative to the total are dropped, and a fit
+    with fewer than two usable points is reported as degenerate (exponent NaN)
+    rather than failed.
     """
     grid = tuple(int(n) for n in n_grid)
     if len(grid) < 2:
@@ -227,9 +228,10 @@ def remainder_diagnostic(a: int, n_grid: list[int] | tuple[int, ...]) -> Asympto
     usable = [(math.log(n), math.log(abs(r))) for n, s, r in zip(grid, measured, residuals)
               if abs(r) > _FLOAT_NOISE_FLOOR * abs(s)]
     if len(usable) >= 2:
-        import numpy as np  # odd-order float totals loaded it already; even ones do not
-        xs, ys = zip(*usable)
-        slope = float(np.polyfit(xs, ys, 1)[0])
+        xs, ys = zip(*((Fraction(x), Fraction(y)) for x, y in usable))
+        x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+        slope = float(sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+                      / sum((x - x_mean) ** 2 for x in xs))
         degenerate = len(usable) < len(grid)
     else:
         slope = float("nan")

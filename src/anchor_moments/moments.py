@@ -232,11 +232,11 @@ def signed_moment_total(q: MomentQuery) -> Fraction:
 
 
 def total_moment_float(q: MomentQuery) -> FloatMomentBreakdown:
-    """Float total of the expected cost, n up to 10^7: for even a the correctly rounded
-    signed_moment_total, for odd a the float route."""
-    if q.n > 10**7:
-        raise ValueError("float path supports n <= 10^7")
+    """Float total of the expected cost: for even a the correctly rounded
+    signed_moment_total at any n, for odd a the float route, n up to 10^7."""
     if not q.odd:
         return FloatMomentBreakdown(n=q.n, a=q.a, total=float(signed_moment_total(q)))
+    if q.n > 10**7:
+        raise ValueError("float path supports n <= 10^7 for odd a")
     from . import _float_route
     return _float_route.total_moment_float(q)

@@ -4,8 +4,10 @@ measure the summed a-th power displacement.
 Trial block b (4096 trials) draws from its own SFC64 stream,
 SeedSequence(seed, spawn_key=(b,)), one cache-sized tile at a time, and each
 trial owns a fixed row of its block's draws.  Trial costs therefore depend
-only on (seed, trial index), and the final reduction is an exactly-rounded sum
-over trial order, so results are bit-identical for any worker count.
+only on (seed, trial index).  Each block folds its costs into two integers as
+soon as it has them, the exact sums of the costs and of their squares, and
+those integer sums do not depend on their order, so results are bit-identical
+for any worker count and memory does not grow with the number of trials.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ __all__ = ["SimulationConfig", "SimulationResult", "estimate"]
 
 _BLOCK = 4096  # trials per substream block; fixed so layout never depends on workers
 _TILE_BYTES = 1 << 19  # draws reduced per pass; best or tied among 128 KiB-2 MiB
+_FOLD = 4  # blocks whose costs are summed together: 2^14 costs, one exact-sum pass
 
 
 @dataclass(frozen=True)
@@ -83,33 +86,57 @@ def _block_costs(seed: int, block: int, rows: int, n: int, a: int) -> np.ndarray
     return costs
 
 
-def _span_costs(seed: int, span: list[tuple[int, int]], n: int, a: int) -> np.ndarray:
+def _span_sums(seed: int, blocks: range, trials: int, n: int, a: int) -> tuple[int, int]:
+    """Exact sums of the costs and of their squares over a run of blocks, in units of 2^-1126.
+
+    The costs of _FOLD blocks at a time share one exact-sum pass, which costs less than one
+    pass per block.  Each square is c^2 = sq + err with sq = fl(c^2) and err exact, by Dekker's
+    product over the split c = hi + lo into 26-bit halves (T. J. Dekker, A floating-point
+    technique for extending the available precision, 1971).  That holds for costs from
+    2^-485 up; below, the products round in the subnormals, so the sum of squares is good to
+    3 trials 2^-1074 absolute and the variance to 6 2^-1074.
+    """
     import numpy as np
-    return np.concatenate([_block_costs(seed, b, rows, n, a) for b, rows in span])
+    from ._float_route import _exact_units
+    total = total_sq = 0
+    for first in blocks[::_FOLD]:
+        c = np.concatenate([_block_costs(seed, b, min(_BLOCK, trials - b * _BLOCK), n, a)
+                            for b in range(first, min(first + _FOLD, blocks.stop))])
+        big = c * (2.0**27 + 1)  # Veltkamp's split
+        hi = big - (big - c)
+        lo = c - hi
+        sq = c * c
+        err = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo  # c^2 - sq, exactly
+        total += _exact_units(c)
+        total_sq += _exact_units(sq) + _exact_units(err)
+    return total, total_sq
 
 
 def estimate(config: SimulationConfig) -> SimulationResult:
-    """Mean cost over trials with standard error and a 1.96-sigma interval."""
-    import numpy as np
-    from ._float_route import _exact_sum
+    """Mean cost over trials with standard error and a 1.96-sigma interval.
+
+    Each worker runs one contiguous span of blocks and returns its two exact sums
+    (_span_sums), so neither the workers nor this process keeps a per-trial array.  The
+    mean is the correctly rounded sum over trials divided by trials; the variance is the
+    sample variance (N sum c^2 - (sum c)^2) / (N (N-1)) of the N trial costs, formed
+    exactly and rounded once.
+    """
     trials, n, a, seed = config.trials, config.n, config.a, config.seed
-    blocks = [(b, min(_BLOCK, trials - b * _BLOCK))
-              for b in range((trials + _BLOCK - 1) // _BLOCK)]
+    blocks = (trials + _BLOCK - 1) // _BLOCK
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(config.workers, len(blocks), cpus or 1)
+    workers = min(config.workers, blocks, cpus or 1)
+    spans = [range(k * blocks // workers, (k + 1) * blocks // workers) for k in range(workers)]
+    job = partial(_span_sums, seed, trials=trials, n=n, a=a)
     if workers == 1:
-        costs = _span_costs(seed, blocks, n, a)
+        sums = [job(spans[0])]
     else:
         from concurrent.futures import ProcessPoolExecutor  # single-worker runs skip its import
-        spans = [blocks[k * len(blocks) // workers:(k + 1) * len(blocks) // workers]
-                 for k in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            costs = np.concatenate(list(pool.map(partial(_span_costs, seed, n=n, a=a), spans)))
-    mean = float(_exact_sum(costs)) / trials
+            sums = list(pool.map(job, spans))
+    total, total_sq = map(sum, zip(*sums))
+    mean = total / (1 << 1126) / trials  # int / int rounds correctly
     if trials > 1:
-        costs -= mean  # squared deviations in place: no trial-sized temporaries
-        costs *= costs
-        var = float(_exact_sum(costs)) / (trials - 1)
+        var = (((trials * total_sq) << 1126) - total * total) / ((trials * (trials - 1)) << 2252)
         std_error = math.sqrt(var / trials)
     else:
         std_error = 0.0

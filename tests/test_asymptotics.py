@@ -322,6 +322,19 @@ def test_remainder_diagnostic_quadratic():
     assert not report.degenerate_fit
 
 
+def test_remainder_diagnostic_fit_is_least_squares_past_the_float_guard():
+    # even orders take the closed form at any n; the slope is the least-squares line through
+    # (log n, log|residual|), the one np.polyfit gives
+    import numpy as np
+    grid = [100, 10**4, 10**8, 10**9]
+    report = remainder_diagnostic(2, grid)
+    assert not report.degenerate_fit
+    xs = [math.log(n) for n in grid]
+    ys = [math.log(abs(s - report.constant_float)) for s in report.measured]  # n^0 at a = 2
+    assert report.fitted_exponent == pytest.approx(float(np.polyfit(xs, ys, 1)[0]), rel=1e-12)
+    assert report.fitted_exponent == pytest.approx(-1.0, abs=1e-6)
+
+
 def test_remainder_diagnostic_linear():
     report = remainder_diagnostic(1, [100, 1000, 10_000])
     devs = [abs(v - report.constant_float) for v in report.normalized]

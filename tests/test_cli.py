@@ -370,11 +370,11 @@ print(json.dumps({
         loaded("lemma", "--id", "1", "--a", "3", "--grid", "10,100"),
         loaded("lemma", "--id", "2", "--a", "1", "--n", "50"),
         *(loaded("identities", "--suite", s) for s in suite_names() if s not in ("beta", "all")),
+        loaded("asymptotic", "--theorem", "1", "--a", "2", "--grid", "100,1000"),
     ],
     "single_worker": [
         loaded("simulate", "--n", "7", "--a", "1", "--trials", "5000", "--workers", "1"),
         loaded("lemma", "--id", "4", "--c", "0", "--grid", "1000,10000"),
-        loaded("asymptotic", "--theorem", "1", "--a", "2", "--grid", "100,1000"),
     ],
     "two_workers": loaded("simulate", "--n", "7", "--a", "1", "--trials", "5000", "--workers", "2"),
     "odd_float": loaded("asymptotic", "--theorem", "2", "--a", "3", "--grid", "100,1000"),
@@ -432,8 +432,8 @@ def test_scipy_and_the_process_pool_load_only_when_used(modules_after_commands):
 
 def test_numpy_loads_only_when_used(modules_after_commands):
     # importing the CLI and building its parser, exact totals (even ones past the size guard)
-    # and tables, lemmas 1 and 2 and every identity suite but the float-Beta one run in
-    # exact arithmetic
+    # and tables, lemmas 1 and 2, every identity suite but the float-Beta one and theorem 1's
+    # even-order fit run in exact arithmetic
     seen = modules_after_commands
     assert len(seen["numpy_free"]) >= 10
     assert not any(s["numpy"] for s in seen["numpy_free"])

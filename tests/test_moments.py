@@ -309,7 +309,8 @@ def _quadratic_total(n: int) -> Fraction:
 
 
 def test_float_even_order_closed_form():
-    for n in (3000, 100_000):
+    # 10^9: the size guard bounds the odd-order route's cost; the even closed form needs none
+    for n in (3000, 100_000, 10**9):
         assert total_moment_float(MomentQuery(n, 2)).total == float(_quadratic_total(n))
 
 

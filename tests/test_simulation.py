@@ -1,4 +1,7 @@
 import concurrent.futures
+import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from anchor_moments import simulation
 from anchor_moments.moments import MomentQuery, total_moment_exact
 from anchor_moments.simulation import (
+    _BLOCK,
     _TILE_BYTES,
     SimulationConfig,
     SimulationResult,
@@ -179,3 +183,43 @@ def test_pool_size_falls_back_to_cpu_count(monkeypatch):
     monkeypatch.setattr(simulation.os, "cpu_count", lambda: 3)
     estimate(SimulationConfig(n=1, a=1, trials=10 * 4096, seed=3, workers=100_000))
     assert _InProcessPool.sizes == [3]
+
+
+@pytest.mark.parametrize("n,a", [(3, 1), (3, 9), (50, 2)])
+def test_span_sums_are_exact(n, a):
+    # six blocks fold as 4 + 2, or as 2 + 4 from block 2; a = 9 spreads costs over many binades
+    trials, seed = 5 * _BLOCK + 3, 4
+    costs = [Fraction(c) for b in range(6)
+             for c in _block_costs(seed, b, min(_BLOCK, trials - b * _BLOCK), n, a).tolist()]
+    unit = Fraction(1, 1 << 1126)
+    exact = (sum(costs) / unit, sum(c * c for c in costs) / unit)
+    assert simulation._span_sums(seed, range(6), trials, n, a) == exact
+    parts = [simulation._span_sums(seed, r, trials, n, a) for r in (range(2), range(2, 6))]
+    assert tuple(map(sum, zip(*parts))) == exact
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_variance_is_the_exactly_rounded_sample_variance(monkeypatch, workers):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(simulation.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    # at this seed a two-pass float variance, sum (c - mean)^2 / (N - 1), puts std_error an ulp low
+    n, a, trials, seed = 3, 1, 4 * _BLOCK + 7, 3
+    costs = [Fraction(c) for b in range(5)
+             for c in _block_costs(seed, b, min(_BLOCK, trials - b * _BLOCK), n, a).tolist()]
+    total, total_sq = sum(costs), sum(c * c for c in costs)
+    var = (trials * total_sq - total * total) / (trials * (trials - 1))
+    res = estimate(SimulationConfig(n=n, a=a, trials=trials, seed=seed, workers=workers))
+    assert res.mean == float(total) / trials
+    assert res.std_error == math.sqrt(float(var) / trials)
+
+
+def test_estimate_memory_does_not_grow_with_trials():
+    # the per-trial cost array this replaced held 32 MB here, and a copy of it
+    estimate(SimulationConfig(n=5, a=1, trials=10))  # loads numpy and the float route first
+    tracemalloc.start()
+    try:
+        estimate(SimulationConfig(n=5, a=1, trials=4_000_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
