@@ -44,6 +44,10 @@ COMMANDS = (
     "exact --n 1000000000 --a 4",
     "exact --n 2001 --a 2",
     "simulate --n 2001 --a 2 --trials 2000 --seed 1",
+    # an odd order past the size guard: no exact column
+    "simulate --n 2001 --a 1 --trials 100",
+    # a >= 3: the cost's power by repeated multiplication
+    "simulate --n 50 --a 3 --trials 2000 --seed 7",
     # size guard: exit 3
     "exact --n 2001 --a 1",
     "exact --n 2001 --a 2 --per-sensor",
@@ -54,6 +58,7 @@ COMMANDS = (
     "lemma --id 4 --a 3 --c 1 --n 10",
     "lemma --id 2 --a 2 --n 10",
     "simulate --n 5 --a 1 --seed -1 --trials 10",
+    "identities --suite bogus",
     # help of the top-level parser and of each subcommand
     "--help",
     "exact --help",

@@ -9,25 +9,21 @@ companion column; stdout carries the table, stderr carries diagnostics.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 from collections.abc import Callable
-from datetime import datetime, timezone
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .asymptotics import (
-    abel_anchor_sum,
-    remainder_diagnostic,
-    vanishing_signed_sum,
-    vanishing_tail_correction_sum,
-)
-from .identities import run_suite, suite_names
-from .moments import (EXACT_N_GUARD, MomentQuery, SizeGuardError, signed_moment_total,
-                      total_moment_exact)
+
+# Each handler imports the modules it runs, so start-up (import and build_parser) loads only
+# argparse, this module and simulation.  simulation is numpy-free and stays a top-level
+# import: perfbench's tracer looks it up in sys.modules once it has imported this module.
 from .simulation import SimulationConfig, estimate
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .moments import MomentQuery
 
 _USAGE_ERROR = 2
 _GUARD_ERROR = 3
@@ -38,8 +34,11 @@ if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(0)
 
 
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+def _frac(x: Fraction, denominator_text: str | None = None) -> str:
+    """x as "p/q", or "p" for an integer; a caller that has the text of q passes it."""
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f"{x.numerator}/{denominator_text or x.denominator}"
 
 
 def _flt(x: float) -> str:
@@ -49,15 +48,20 @@ def _flt(x: float) -> str:
 def _render(args: argparse.Namespace, params: dict[str, str], rows: list[dict[str, str]]) -> str:
     """One command's table as CSV (columns from the first row) or as JSON with metadata."""
     if args.format == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
         return buf.getvalue().rstrip("\n")
+    import json
     metadata = {"version": __version__}
     if "seed" in args:
         metadata["seed"] = str(args.seed)
     if not args.no_timestamp:
+        from datetime import datetime, timezone
         metadata["timestamp"] = datetime.now(timezone.utc).isoformat()
     return json.dumps(
         {
@@ -77,10 +81,12 @@ Table = tuple[dict[str, str], list[dict[str, str]]]
 
 def _exact_total(q: MomentQuery) -> Fraction:
     """The closed form for even a, at any n; the per-sensor route, guarded, for odd a."""
+    from .moments import signed_moment_total, total_moment_exact
     return total_moment_exact(q).total if q.odd else signed_moment_total(q)
 
 
 def _cmd_exact(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Table:
+    from .moments import MomentQuery, total_moment_exact
     q = MomentQuery(n=args.n, a=args.a)
     params = {"n": str(args.n), "a": str(args.a), "per_sensor": str(args.per_sensor).lower()}
     if args.per_sensor:
@@ -88,7 +94,13 @@ def _cmd_exact(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Tab
         # mirrors share their values, and for even a e_signed_part is e_total
         shared = {id(x): x for e in breakdown.per_sensor
                   for x in (e.e_total, e.e_signed_part, e.e_folded_part)}
-        texts = {key: _frac(x) for key, x in shared.items()}
+        # the fields share few denominators and str(int) is quadratic in the digits: in
+        # denominator order, each is converted once and one text is kept at a time
+        texts, q, q_text = {}, None, ""
+        for key, x in sorted(shared.items(), key=lambda item: item[1].denominator):
+            if x.denominator != q:
+                q, q_text = x.denominator, str(x.denominator)
+            texts[key] = _frac(x, q_text)
         rows = [
             {
                 "i": str(e.i),
@@ -117,6 +129,7 @@ def _cmd_exact(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Tab
 
 
 def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Table:
+    from .moments import EXACT_N_GUARD, MomentQuery
     result = estimate(SimulationConfig(n=args.n, a=args.a, trials=args.trials,
                                        seed=args.seed, workers=args.workers))
     row = {
@@ -139,6 +152,7 @@ def _cmd_simulate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
 
 
 def _cmd_asymptotic(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Table:
+    from .asymptotics import remainder_diagnostic
     if args.theorem == 1 and args.a % 2 != 0:
         parser.error("--theorem 1 covers even a")
     if args.theorem == 2 and args.a % 2 != 1:
@@ -165,6 +179,7 @@ def _cmd_asymptotic(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 
 
 def _cmd_lemma(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Table:
+    from .asymptotics import abel_anchor_sum, vanishing_signed_sum, vanishing_tail_correction_sum
     grid = args.grid if args.grid is not None else [args.n]
     params = {"id": str(args.id), "grid": ",".join(str(n) for n in grid)}
     rows = []
@@ -199,6 +214,7 @@ def _cmd_lemma(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Tab
 
 
 def _cmd_identities(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Table:
+    from .identities import run_suite
     results = run_suite(args.suite)
     rows = [
         {
@@ -215,6 +231,10 @@ def _cmd_identities(args: argparse.Namespace, parser: argparse.ArgumentParser) -
 
 
 # --- parser -----------------------------------------------------------------
+
+# identities.suite_names(), spelled out so that building the parser loads no identity check;
+# a test keeps the two equal
+_SUITES = ("all", "stirling", "eulerian", "beta", "gould", "finite-diff", "technical2b")
 
 
 def _positive_int(text: str) -> int:
@@ -283,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_lem, _cmd_lemma)
 
     p_id = sub.add_parser("identities", help="run the verified-identity suites")
-    p_id.add_argument("--suite", choices=suite_names(), default="all")
+    p_id.add_argument("--suite", choices=_SUITES, default="all")
     common(p_id, _cmd_identities)
 
     return parser
@@ -297,6 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help, and usage errors from the parser or a handler
         return int(exc.code) if exc.code is not None else 0
     except ValueError as exc:  # SizeGuardError is a ValueError too
+        from .moments import SizeGuardError
         print(f"error: {exc}", file=sys.stderr)
         return _GUARD_ERROR if isinstance(exc, SizeGuardError) else _USAGE_ERROR
     print(_render(args, params, rows))

@@ -57,9 +57,9 @@ def test_exact_per_sensor_formats_each_shared_total_once(capsys, monkeypatch):
     # a mirrored sensor shares its e_total Fraction with its mirror image
     formatted = []
 
-    def recording_frac(x):
+    def recording_frac(x, *rest):
         formatted.append(x)  # keeps x alive, so ids stay distinct
-        return _frac(x)
+        return _frac(x, *rest)
 
     monkeypatch.setattr(cli, "_frac", recording_frac)
     code, out, _ = run_cli(capsys, "exact", "--n", "9", "--a", "3",
@@ -74,9 +74,9 @@ def test_exact_per_sensor_formats_even_order_signed_part_once(capsys, monkeypatc
     # for even a, e_signed_part is the same Fraction as e_total
     formatted = []
 
-    def recording_frac(x):
+    def recording_frac(x, *rest):
         formatted.append(x)
-        return _frac(x)
+        return _frac(x, *rest)
 
     monkeypatch.setattr(cli, "_frac", recording_frac)
     code, out, _ = run_cli(capsys, "exact", "--n", "10", "--a", "2",
@@ -85,6 +85,26 @@ def test_exact_per_sensor_formats_even_order_signed_part_once(capsys, monkeypatc
     rows = list(csv.DictReader(io.StringIO(out)))
     assert all(r["e_signed_part"] == r["e_total"] for r in rows[:-1])
     assert len({id(x) for x in formatted}) == len(formatted)
+
+
+def test_exact_per_sensor_converts_each_denominator_once(capsys, monkeypatch):
+    # the fields share few denominators, and each is converted to text once
+    passed = []
+
+    def recording_frac(x, denominator_text=None):
+        if denominator_text is not None:
+            passed.append((x.denominator, denominator_text))  # keeps the text alive: ids differ
+        return _frac(x, denominator_text)
+
+    monkeypatch.setattr(cli, "_frac", recording_frac)
+    code, out, _ = run_cli(capsys, "exact", "--n", "40", "--a", "3", "--per-sensor",
+                           "--no-timestamp")
+    assert code == 0
+    fields = {Fraction(r[k]) for r in json.loads(out)["rows"][:-1]
+              for k in ("e_total", "e_signed_part", "e_folded_part")}
+    assert {q for q, _ in passed} == {x.denominator for x in fields}
+    assert all(text == str(q) for q, text in passed)
+    assert len({id(text) for _, text in passed}) == len({q for q, _ in passed}) < len(fields)
 
 
 def test_exact_invalid_n_exits_2(capsys):
@@ -382,6 +402,25 @@ print(json.dumps({
 }))
 """
 
+_MODULES_AT_START_UP = """
+import contextlib, io, json, sys
+from anchor_moments.cli import build_parser, main
+
+def loaded():
+    package = ("moments", "asymptotics", "identities", "special_functions", "combinatorics")
+    names = [*(f"anchor_moments.{m}" for m in package), "fractions", "decimal"]
+    return [m for m in names if m in sys.modules]
+
+build_parser()
+start_up = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["exact", "--n", "7", "--a", "3"],
+                 ["exact", "--n", "7", "--a", "3", "--per-sensor"],
+                 ["exact", "--n", "5000", "--a", "2", "--format", "csv"]):
+        assert main([*argv, "--no-timestamp"]) == 0, argv
+print(json.dumps({"start_up": start_up, "exact": loaded()}))
+"""
+
 _STAR_IMPORT = """
 import json, sys
 import anchor_moments
@@ -444,3 +483,22 @@ def test_star_import_keeps_the_public_names_and_loads_no_numpy():
     numpy_on_import, names = _fresh_interpreter(_STAR_IMPORT)
     assert not numpy_on_import
     assert _PUBLIC_NAMES <= set(names)
+
+
+def test_start_up_loads_only_the_cli_and_simulation():
+    # importing the CLI and building its parser loads no module that a command runs but
+    # simulation; exact then loads the exact route, and neither asymptotics nor an identity
+    seen = _fresh_interpreter(_MODULES_AT_START_UP)
+    assert seen["start_up"] == []
+    assert "anchor_moments.moments" in seen["exact"]
+    assert "anchor_moments.asymptotics" not in seen["exact"]
+    assert "anchor_moments.identities" not in seen["exact"]
+
+
+def test_suite_choices_are_the_identity_suites(capsys):
+    # the parser spells the suite names out; they must stay identities.suite_names()
+    for name in identities.suite_names():
+        assert cli.build_parser().parse_args(["identities", "--suite", name]).suite == name
+    code, out, _ = run_cli(capsys, "identities", "--help")
+    assert code == 0
+    assert "{" + ",".join(identities.suite_names()) + "}" in out
