@@ -12,7 +12,7 @@ n-grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .combinatorics import finite_difference
@@ -36,26 +36,28 @@ __all__ = [
 _FLOAT_NOISE_FLOOR = 1e-13
 
 
-@dataclass(frozen=True)
-class IdentityCheckResult:
+class IdentityCheckResult(namedtuple("IdentityCheckResult", "name passed residual detail",
+                                     defaults=("",))):
     """Outcome of one verified identity: pass/fail plus a float residual."""
 
+    __slots__ = ()
     name: str
     passed: bool
     residual: float
-    detail: str = ""
+    detail: str
 
 
-@dataclass(frozen=True)
-class CoefficientSet:
+class CoefficientSet(namedtuple("CoefficientSet", "a entries")):
     """Diagonal coefficients b[(q1, p1)] with q1 + p1 = (a-1)/2, a odd."""
 
+    __slots__ = ()
     a: int
     entries: dict[tuple[int, int], Fraction]
 
 
-@dataclass(frozen=True)
-class AsymptoticReport:
+class AsymptoticReport(namedtuple("AsymptoticReport", "a constant constant_float n_grid measured "
+                                                      "normalized fitted_exponent degenerate_fit")):
+    __slots__ = ()
     a: int
     constant: HalfIntValue
     constant_float: float

@@ -38,7 +38,7 @@ odd orders only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .combinatorics import falling_factorial, rising_factorial
@@ -67,26 +67,25 @@ class SizeGuardError(ValueError):
     """Exact per-sensor path rejected because n exceeds EXACT_N_GUARD."""
 
 
-@dataclass(frozen=True)
-class MomentQuery:
+class MomentQuery(namedtuple("MomentQuery", "n a")):
     """Problem size: n sensors, moment order a (parity drives the split)."""
 
-    n: int
-    a: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __new__(cls, n: int, a: int) -> MomentQuery:
+        if n < 1:
             raise ValueError("n must be >= 1")
-        if self.a < 1:
+        if a < 1:
             raise ValueError("a must be >= 1")
+        return super().__new__(cls, n, a)
 
     @property
     def odd(self) -> bool:
         return self.a % 2 == 1
 
 
-@dataclass(frozen=True)
-class SensorMoment:
+class SensorMoment(namedtuple("SensorMoment", "i t e_total e_signed_part e_folded_part")):
+    __slots__ = ()
     i: int
     t: Fraction
     e_total: Fraction
@@ -94,16 +93,16 @@ class SensorMoment:
     e_folded_part: Fraction
 
 
-@dataclass(frozen=True)
-class MomentBreakdown:
+class MomentBreakdown(namedtuple("MomentBreakdown", "per_sensor total")):
+    __slots__ = ()
     per_sensor: tuple[SensorMoment, ...]
     total: Fraction
 
 
-@dataclass(frozen=True)
-class FloatMomentBreakdown:
+class FloatMomentBreakdown(namedtuple("FloatMomentBreakdown", "n a total")):
     """Float total of MomentBreakdown; the float route keeps no per-sensor values."""
 
+    __slots__ = ()
     n: int
     a: int
     total: float

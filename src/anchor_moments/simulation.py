@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 from typing import TYPE_CHECKING
 
@@ -28,27 +28,24 @@ _TILE_BYTES = 1 << 19  # draws reduced per pass; best or tied among 128 KiB-2 Mi
 _FOLD = 4  # blocks whose costs are summed together: 2^14 costs, one exact-sum pass
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
-    n: int
-    a: int
-    trials: int
-    seed: int = 0
-    workers: int = 1
+class SimulationConfig(namedtuple("SimulationConfig", "n a trials seed workers")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.a < 1:
+    def __new__(cls, n: int, a: int, trials: int, seed: int = 0,
+                workers: int = 1) -> SimulationConfig:
+        if n < 1 or a < 1:
             raise ValueError("n and a must be >= 1")
-        if self.trials < 1:
+        if trials < 1:
             raise ValueError("trials must be >= 1")
-        if not 0 <= self.seed < 2**64:
+        if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
-        if self.workers < 1:
+        if workers < 1:
             raise ValueError("workers must be >= 1")
+        return super().__new__(cls, n, a, trials, seed, workers)
 
 
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(namedtuple("SimulationResult", "mean std_error ci95 trials seed")):
+    __slots__ = ()
     mean: float
     std_error: float
     ci95: tuple[float, float]

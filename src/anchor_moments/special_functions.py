@@ -10,7 +10,6 @@ binomial tail in integers, and has a one-step form of its parameter recurrence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -30,7 +29,6 @@ _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
 class HalfIntValue:
     """Exact scalar of the form rational * sqrt(2)**sqrt2_pow * sqrt(pi)**sqrt_pi_pow.
 
@@ -38,15 +36,17 @@ class HalfIntValue:
     sqrt2_pow is always 0 or 1; sqrt(pi) powers are kept verbatim (pi is
     transcendental, nothing folds).  Addition is defined only between values
     carrying the same monomial, which is all the verified identities need.
+    A value is immutable, hashable and equal only to a HalfIntValue; it has no order.
     """
 
+    __slots__ = ("rational", "sqrt2_pow", "sqrt_pi_pow")
     rational: Fraction
-    sqrt2_pow: int = 0
-    sqrt_pi_pow: int = 0
+    sqrt2_pow: int
+    sqrt_pi_pow: int
 
-    def __post_init__(self) -> None:
-        q = Fraction(self.rational)
-        s2, sp = self.sqrt2_pow, self.sqrt_pi_pow
+    def __init__(self, rational: Rational, sqrt2_pow: int = 0, sqrt_pi_pow: int = 0) -> None:
+        q = Fraction(rational)
+        s2, sp = sqrt2_pow, sqrt_pi_pow
         if q == 0:
             s2 = sp = 0
         else:
@@ -55,6 +55,30 @@ class HalfIntValue:
         object.__setattr__(self, "rational", q)
         object.__setattr__(self, "sqrt2_pow", s2)
         object.__setattr__(self, "sqrt_pi_pow", sp)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple[Fraction, int, int]:
+        return self.rational, self.sqrt2_pow, self.sqrt_pi_pow
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"HalfIntValue(rational={self.rational!r}, sqrt2_pow={self.sqrt2_pow!r}, "
+                f"sqrt_pi_pow={self.sqrt_pi_pow!r})")
+
+    def __reduce__(self):
+        return HalfIntValue, self._key()
 
     # -- arithmetic (exact) --
     def _coerce(self, other) -> "HalfIntValue":
@@ -193,6 +217,8 @@ def incomplete_beta_step_down(z: Rational, c: int, d: int) -> Fraction:
 
     I(z;c,d) = I(z;c-1,d) - Gamma(c+d-1)/(Gamma(c)Gamma(d)) z^(c-1)(1-z)^d, the
     Gamma ratio being C(c+d-2, c-1), with the lower value direct.  Requires c >= 2.
+    With z = p/q and r = q-p it is one integer over q^(c+d-1), reduced once:
+    q _beta_tail(p, q, c-1, d) - C(c+d-2, c-1) p^(c-1) r^d.
     """
     z = Fraction(z)
     if c < 2:
@@ -201,8 +227,9 @@ def incomplete_beta_step_down(z: Rational, c: int, d: int) -> Fraction:
         raise ValueError("z must lie in [0, 1]")
     if d < 1:
         raise ValueError("d must be an integer >= 1")
-    coeff = math.comb(c + d - 2, c - 1)
-    return incomplete_beta_regularized_exact(z, c - 1, d) - coeff * z ** (c - 1) * (1 - z) ** d
+    p, q = z.numerator, z.denominator
+    step = math.comb(c + d - 2, c - 1) * p ** (c - 1) * (q - p) ** d
+    return Fraction(q * _beta_tail(p, q, c - 1, d) - step, q ** (c + d - 1))
 
 
 def stirling_bounds(m: int) -> tuple[float, float, float]:

@@ -378,7 +378,8 @@ def loaded(*argv):
     if argv:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main([*argv, "--no-timestamp"]) == 0, argv
-    return {m: m in sys.modules for m in ("numpy", "scipy", "concurrent.futures.process")}
+    return {m: m in sys.modules
+            for m in ("numpy", "scipy", "concurrent.futures.process", "dataclasses", "inspect")}
 
 build_parser()
 print(json.dumps({
@@ -408,7 +409,8 @@ from anchor_moments.cli import build_parser, main
 
 def loaded():
     package = ("moments", "asymptotics", "identities", "special_functions", "combinatorics")
-    names = [*(f"anchor_moments.{m}" for m in package), "fractions", "decimal"]
+    names = [*(f"anchor_moments.{m}" for m in package), "fractions", "decimal", "dataclasses",
+             "inspect"]
     return [m for m in names if m in sys.modules]
 
 build_parser()
@@ -479,6 +481,17 @@ def test_numpy_loads_only_when_used(modules_after_commands):
     assert seen["single_worker"][0]["numpy"]  # the Monte Carlo draws
 
 
+def test_no_command_loads_dataclasses(modules_after_commands):
+    # the package's records are namedtuple subclasses: dataclasses would pull in inspect, ast,
+    # dis, tokenize and copy, most of start-up.  numpy imports inspect itself, so inspect is
+    # pinned only where no numpy loads
+    seen = modules_after_commands
+    every = [*seen["numpy_free"], *seen["single_worker"], seen["two_workers"], seen["odd_float"],
+             *seen["float_beta"]]
+    assert not any(s["dataclasses"] for s in every)
+    assert not any(s["inspect"] for s in seen["numpy_free"])
+
+
 def test_star_import_keeps_the_public_names_and_loads_no_numpy():
     numpy_on_import, names = _fresh_interpreter(_STAR_IMPORT)
     assert not numpy_on_import
@@ -487,7 +500,7 @@ def test_star_import_keeps_the_public_names_and_loads_no_numpy():
 
 def test_start_up_loads_only_the_cli_and_simulation():
     # importing the CLI and building its parser loads no module that a command runs but
-    # simulation; exact then loads the exact route, and neither asymptotics nor an identity
+    # simulation, and neither dataclasses nor inspect; exact then loads the exact route, and neither asymptotics nor an identity
     seen = _fresh_interpreter(_MODULES_AT_START_UP)
     assert seen["start_up"] == []
     assert "anchor_moments.moments" in seen["exact"]

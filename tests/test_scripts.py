@@ -32,6 +32,17 @@ def test_mc_vs_exact_prints_one_row_per_pair():
     assert all(len(r) == 6 for r in rows)
 
 
+def test_startup_table_prints_one_row_per_command():
+    lines = run_script("startup_table.py", str(ROOT / "src"), str(ROOT / "src"), "--runs", "1")
+    assert lines[:2] == ["| command | parent | change | change faster in |", "|---|---|---|---|"]
+    rows = [line.split(" | ") for line in lines[2:]]
+    assert [row[0] for row in rows] == [
+        "| `--help`", "| `exact --n 100 --a 3`", "| `simulate --n 50 --a 1 --trials 2000`",
+        "| `asymptotic --theorem 2 --a 3 --grid 1000,100000`", "| `identities --suite all`"]
+    assert all(row[1].endswith(" s") and row[2].endswith(" s") for row in rows)
+    assert all(row[3] in ("0/1 |", "1/1 |") for row in rows)
+
+
 _COMPARED = ("exact --n 2 --a 1 --format csv", "exact --n 0 --a 1", "--help")
 
 

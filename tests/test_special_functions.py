@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc
 
+from anchor_moments.identities import _STEP_DOWN_GRID
 from anchor_moments.special_functions import (
     HalfIntValue,
     beta_exact,
@@ -217,12 +218,20 @@ def test_step_down_requires_c_at_least_two():
         incomplete_beta_step_down(Fraction(1, 2), 1, 1)
 
 
+def _step_down_in_fractions(z: Fraction, c: int, d: int) -> Fraction:
+    """The recurrence as written, term by term in Fraction arithmetic."""
+    coeff = math.comb(c + d - 2, c - 1)
+    return incomplete_beta_regularized_exact(z, c - 1, d) - coeff * z ** (c - 1) * (1 - z) ** d
+
+
 def test_step_down_equals_direct_on_grid():
-    for z in (Fraction(1, 7), Fraction(1, 3), Fraction(9, 10)):
-        for c in range(2, 31):
-            for d in range(1, 31):
-                assert incomplete_beta_step_down(z, c, d) == \
-                    incomplete_beta_regularized_exact(z, c, d)
+    # the identity suite's grid, and both ends of [0, 1]; the step in integers must equal
+    # the recurrence in Fractions as well as the direct value
+    endpoints = [(c, d, z) for c in range(2, 7) for d in range(1, 7)
+                 for z in (Fraction(0), Fraction(1))]
+    for c, d, z in _STEP_DOWN_GRID + endpoints:
+        direct = incomplete_beta_regularized_exact(z, c, d)
+        assert incomplete_beta_step_down(z, c, d) == _step_down_in_fractions(z, c, d) == direct
 
 
 # --- float incomplete Beta (scipy) against the exact one ----------------------------------------------------------------------
