@@ -51,6 +51,8 @@ COMMANDS = (
     # size guard: exit 3
     "exact --n 2001 --a 1",
     "exact --n 2001 --a 2 --per-sensor",
+    "asymptotic --theorem 2 --a 1 --grid 100,100000000",
+    "lemma --id 4 --c 0 --n 100000000",
     # usage errors: exit 2
     "exact --n 0 --a 1",
     "asymptotic --theorem 1 --a 3 --grid 10,100",

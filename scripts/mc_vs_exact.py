@@ -8,7 +8,7 @@ the closed form, which holds past the per-sensor route's size guard.
 
 import argparse
 
-from anchor_moments.moments import MomentQuery, signed_moment_total, total_moment_exact
+from anchor_moments.moments import MomentQuery, _exact_total
 from anchor_moments.simulation import SimulationConfig, estimate
 
 
@@ -22,8 +22,7 @@ def main() -> None:
     pairs = [(2, 1), (5, 1), (10, 3), (50, 2), (200, 1), (5000, 2)]
     print(f"{'n':>5} {'a':>2} {'exact':>14} {'mc mean':>14} {'std err':>10} {'z':>7}")
     for n, a in pairs:
-        q = MomentQuery(n, a)
-        exact = float(total_moment_exact(q).total if q.odd else signed_moment_total(q))
+        exact = float(_exact_total(MomentQuery(n, a)))
         res = estimate(SimulationConfig(n=n, a=a, trials=args.trials,
                                         seed=args.seed, workers=args.workers))
         z = (res.mean - exact) / res.std_error

@@ -1,28 +1,21 @@
 """Float route of moments.py for odd orders, on numpy arrays.  moments.total_moment_float
 at odd a, and the lemma 4 and float-Beta checks for the density, load it on first call, so
-the exact route and the CLI start without numpy."""
+the exact route and the CLI start without numpy.  moments owns the route's size limit."""
 
 from __future__ import annotations
 
 import math
 from decimal import Context, Decimal, localcontext
-from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
 
-from .moments import FloatMomentBreakdown, MomentQuery
-
 _CHUNK = 2**14  # a multiple of _ANCHOR_EVERY, so a pass starts on a chain anchor with its carry
 
 
-def _exact_sum(x: np.ndarray) -> Fraction:
-    """Exact sum of a float array; float() of it is math.fsum(x)."""
-    return Fraction(_exact_units(x), 1 << 1126)
-
-
 def _exact_units(x: np.ndarray) -> int:
-    """Exact sum of a float array, in passes of _CHUNK, as an integer multiple of 2^-1126.
+    """Exact sum of a float array, in passes of _CHUNK, as an integer multiple of 2^-1126;
+    dividing it by 1 << 1126 rounds once, to math.fsum(x).
 
     np.frexp gives x = M 2^(e-53), M an integer below 2^53 in size, split as hi 2^26 + lo
     with |hi| <= 2^27 and 0 <= lo < 2^26.  np.bincount over e sums each part exactly in
@@ -120,7 +113,7 @@ def _tail_step(n: int, i: np.ndarray, dens: np.ndarray) -> np.ndarray:
 
 
 def _units(x: np.ndarray) -> list[int]:
-    """Each value of a float array as an exact integer multiple of 2^-1126 (see _exact_sum)."""
+    """Each value of a float array as an exact integer multiple of 2^-1126 (see _exact_units)."""
     m, e = np.frexp(x)
     return [mant << shift for mant, shift in
             zip(np.ldexp(m, 53).astype(np.int64).tolist(), (e + 1073).tolist())]
@@ -171,7 +164,7 @@ def _left_tail_start(n: int, i: np.ndarray, q: np.ndarray, dens: np.ndarray,
     return start
 
 
-def _passes(q: MomentQuery) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+def _passes(n: int, a: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """For odd a, the computed sensors i > n/2 in passes of at most _CHUNK: for each pass,
     its first sensor and its e_total, e_signed_part and e_folded_part arrays.
 
@@ -181,7 +174,6 @@ def _passes(q: MomentQuery) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.nd
     _CHUNK.  The middle sensor of odd n leads the first pass.  Even orders take the closed
     form, moments.signed_moment_total.
     """
-    n, a = q.n, q.a
     carry: list[int] = []
     for lo in range(n // 2 + 1, n + 1, _CHUNK):
         i, t, one_minus_t = _anchor_terms(n, lo, min(lo + _CHUNK, n + 1))
@@ -194,18 +186,16 @@ def _passes(q: MomentQuery) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.nd
         yield lo, 2.0 * left - full, -full, 2.0 * left
 
 
-def total_moment_float(q: MomentQuery) -> FloatMomentBreakdown:
-    """Float total of the expected cost for odd a, n up to 10^7 (moments.total_moment_float
-    checks both).
+def odd_total(n: int, a: int) -> float:
+    """Float total of the expected cost for odd a.
 
     By reflection E_i = E_(n+1-i), so the total is twice the exact sum of the computed
     half (_passes) less the middle sensor of odd n, rounded once; no per-sensor array
     outlives its pass.
     """
-    n = q.n
-    total = Fraction(0)
-    for lo, e_total, _, _ in _passes(q):
-        total += 2 * _exact_sum(e_total)
+    total = 0
+    for lo, e_total, _, _ in _passes(n, a):
+        total += 2 * _exact_units(e_total)
         if lo == n // 2 + 1:  # the middle sensor, counted once
-            total -= _exact_sum(e_total[: n % 2])
-    return FloatMomentBreakdown(n=n, a=q.a, total=float(total))
+            total -= _exact_units(e_total[: n % 2])
+    return total / (1 << 1126)  # int / int rounds correctly

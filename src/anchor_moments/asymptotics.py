@@ -16,8 +16,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .combinatorics import finite_difference
-from .moments import (EXACT_N_GUARD, MomentQuery, SizeGuardError, _moment_denominator,
-                      _scaled_left_moment, signed_moment_total, total_moment_float)
+from .moments import (_FLOAT_N_GUARD, EXACT_N_GUARD, MomentQuery, _moment_denominator,
+                      _scaled_left_moment, _size_guard, signed_moment_total, total_moment_float)
 from .special_functions import HalfIntValue, _beta_tail, beta_exact, gamma_half_int
 
 __all__ = [
@@ -119,9 +119,7 @@ def vanishing_tail_correction_sum(n: int, a: int) -> Fraction:
         raise ValueError("n must be >= 1")
     if a < 1 or a % 2 == 0:
         raise ValueError("a must be an odd natural number")
-    if n > EXACT_N_GUARD:
-        raise SizeGuardError(
-            f"tail-correction sum is exact-path only (n <= {EXACT_N_GUARD}, got {n})")
+    _size_guard(n, EXACT_N_GUARD, "tail-correction sum is exact-path only (n <= {limit}, got {n})")
     scale = (2 * n) ** n
     total = sum(_scaled_left_moment(n, a, i, 0, 1)
                 * (2 * _beta_tail(2 * i - 1, 2 * n, i, n - i + 1) - scale)  # 2 S_i - (2n)^n
@@ -136,17 +134,18 @@ def abel_anchor_sum(n: int, c: float) -> float:
     2 f_i(t_i) t_i^(c+1) (1-t_i) with f_i the Beta(i, n-i+1) density; summed exactly in
     passes of _CHUNK sensors and rounded once, from terms good to about 1e-15, up to n = 10^7.
     """
-    if not 1 <= n <= 10**7:
+    if n < 1:
         raise ValueError("n must lie in [1, 10^7]")
+    _size_guard(n, _FLOAT_N_GUARD, "n must lie in [1, 10^7]")
     if not 0 <= c < math.inf:  # also refuses NaN
         raise ValueError("c must lie in [0, inf)")
-    from ._float_route import (_CHUNK, _anchor_terms, _exact_sum,  # numpy, on first use
+    from ._float_route import (_CHUNK, _anchor_terms, _exact_units,  # numpy, on first use
                                beta_density_at_anchor)
-    total = Fraction(0)
+    total = 0
     for lo in range(1, n + 1, _CHUNK):
         i, t, one_minus_t = _anchor_terms(n, lo, min(lo + _CHUNK, n + 1))
-        total += _exact_sum(2.0 * beta_density_at_anchor(n, i) * t ** (c + 1) * one_minus_t)
-    return float(total)
+        total += _exact_units(2.0 * beta_density_at_anchor(n, i) * t ** (c + 1) * one_minus_t)
+    return total / (1 << 1126)  # int / int rounds correctly
 
 
 def diagonal_coefficients(a: int) -> CoefficientSet:

@@ -58,13 +58,21 @@ __all__ = [
     "total_moment_float",
 ]
 
-# Rational bit length of the per-sensor route grows roughly like n log n; beyond
-# this, odd totals take the float path.  Even totals (signed_moment_total) have none.
+# Every size limit lives here.  Rational bit length of the per-sensor route grows roughly
+# like n log n; beyond EXACT_N_GUARD, odd totals take the float route, which stops at
+# _FLOAT_N_GUARD.  Even totals (signed_moment_total) have no limit.
 EXACT_N_GUARD = 2000
+_FLOAT_N_GUARD = 10**7
 
 
 class SizeGuardError(ValueError):
-    """Exact per-sensor path rejected because n exceeds EXACT_N_GUARD."""
+    """A route refused n past its size limit, EXACT_N_GUARD or _FLOAT_N_GUARD."""
+
+
+def _size_guard(n: int, limit: int, message: str) -> None:
+    """Raise SizeGuardError(message, with {n} and {limit} filled in) if n > limit."""
+    if n > limit:
+        raise SizeGuardError(message.format(n=n, limit=limit))
 
 
 class MomentQuery(namedtuple("MomentQuery", "n a")):
@@ -186,10 +194,8 @@ def total_moment_exact(q: MomentQuery) -> MomentBreakdown:
     pair twice, and reduces once.
     """
     n = q.n
-    if n > EXACT_N_GUARD:
-        raise SizeGuardError(
-            f"exact path guarded at n <= {EXACT_N_GUARD} (got n={n}); "
-            "use total_moment_float for larger n")
+    _size_guard(n, EXACT_N_GUARD, "exact path guarded at n <= {limit} (got n={n}); "
+                "use total_moment_float for larger n")
     upper = [per_sensor_moment_exact(q, i) for i in range(n // 2 + 1, n + 1)]
     lower = [_mirror(q, e) for e in upper[::-1][: n // 2]]  # sensor i from n+1-i
     den = _moment_denominator(n, q.a) * (2 * n) ** (n if q.odd else 0)
@@ -230,12 +236,19 @@ def signed_moment_total(q: MomentQuery) -> Fraction:
     return Fraction(total - poly[0], math.factorial(a) * _moment_denominator(n, a))
 
 
+def _exact_total(q: MomentQuery) -> Fraction:
+    """The exact total: the closed form for even a, at any n; for odd a the per-sensor
+    route, which refuses n > EXACT_N_GUARD."""
+    return total_moment_exact(q).total if q.odd else signed_moment_total(q)
+
+
 def total_moment_float(q: MomentQuery) -> FloatMomentBreakdown:
     """Float total of the expected cost: for even a the correctly rounded
-    signed_moment_total at any n, for odd a the float route, n up to 10^7."""
-    if not q.odd:
-        return FloatMomentBreakdown(n=q.n, a=q.a, total=float(signed_moment_total(q)))
-    if q.n > 10**7:
-        raise ValueError("float path supports n <= 10^7 for odd a")
-    from . import _float_route
-    return _float_route.total_moment_float(q)
+    signed_moment_total at any n, for odd a the float route, n up to _FLOAT_N_GUARD."""
+    if q.odd:
+        _size_guard(q.n, _FLOAT_N_GUARD, "float path supports n <= 10^7 for odd a")
+        from ._float_route import odd_total  # numpy, on first use
+        total = odd_total(q.n, q.a)
+    else:
+        total = float(signed_moment_total(q))
+    return FloatMomentBreakdown(n=q.n, a=q.a, total=total)

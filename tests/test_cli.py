@@ -135,6 +135,25 @@ def test_exact_per_sensor_size_guard_exits_3_for_even_orders(capsys):
     assert "guard" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("exact", "--n", "2001", "--a", "1"),
+     "exact path guarded at n <= 2000 (got n=2001); use total_moment_float for larger n"),
+    (("lemma", "--id", "2", "--a", "1", "--n", "2001"),
+     "tail-correction sum is exact-path only (n <= 2000, got 2001)"),
+    (("asymptotic", "--theorem", "2", "--a", "1", "--grid", "100,100000000"),
+     "float path supports n <= 10^7 for odd a"),
+    (("lemma", "--id", "4", "--c", "0", "--n", "100000000"), "n must lie in [1, 10^7]"),
+])
+def test_every_size_limit_exits_3(capsys, argv, message):
+    # the two exact limits and the two float limits, each with its own message
+    assert run_cli(capsys, *argv) == (3, "", f"error: {message}\n")
+
+
+def test_lemma_4_below_one_sensor_stays_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "lemma", "--id", "4", "--c", "0", "--grid", "0,10")
+    assert (code, out, err) == (2, "", "error: n must lie in [1, 10^7]\n")
+
+
 def test_exact_even_totals_pass_the_size_guard(capsys):
     code, out, _ = run_cli(capsys, "exact", "--n", "2001", "--a", "2", "--no-timestamp")
     assert code == 0

@@ -12,7 +12,7 @@ from anchor_moments._float_route import (
     _ANCHOR_EVERY,
     _CHAIN_MIN_VAR,
     _CHUNK,
-    _exact_sum,
+    _exact_units,
     _left_tail_start,
     _tail_step,
     beta_density_at_anchor,
@@ -280,7 +280,7 @@ def test_float_matches_exact_sampled_grid():
 def _float_fields(n: int, a: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """The float route's computed sensors, n//2+1..n, joined over its passes: the first
     sensor, then e_total, e_signed_part and e_folded_part."""
-    passes = list(_float_route._passes(MomentQuery(n, a)))
+    passes = list(_float_route._passes(n, a))
     assert [lo for lo, *_ in passes] == list(range(n // 2 + 1, n + 1, _float_route._CHUNK))
     return (passes[0][0], *(np.concatenate([p[k] for p in passes]) for k in (1, 2, 3)))
 
@@ -383,8 +383,8 @@ def test_float_bits_do_not_depend_on_the_chunk_size(monkeypatch, n, a):
     for chunk in (128, n):
         monkeypatch.setattr(_float_route, "_CHUNK", chunk)
         sums = []  # one exact sum per pass, and one for the middle sensor
-        monkeypatch.setattr(_float_route, "_exact_sum",
-                            lambda x: sums.append(len(x)) or _exact_sum(x))
+        monkeypatch.setattr(_float_route, "_exact_units",
+                            lambda x: sums.append(len(x)) or _exact_units(x))
         assert _float_bytes(n, a) == want, chunk
         assert len(sums) == 1 + -(-(n - n // 2) // chunk), chunk  # the patch took effect
 
@@ -433,7 +433,8 @@ _TINY = 5e-324
     [-(2.0 - 2.0**-52)] * (2**14 + 5) + [1e-30],  # the largest mantissas, one full pass
 ])
 def test_exact_sum_is_fsum(x):
-    assert float(_exact_sum(np.array(x, dtype=np.float64))).hex() == math.fsum(x).hex()
+    total = _exact_units(np.array(x, dtype=np.float64)) / (1 << 1126)
+    assert total.hex() == math.fsum(x).hex()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -441,7 +442,7 @@ def test_exact_sum_refuses_non_finite_values(bad):
     x = np.ones(2**14 + 3)
     x[2**14 + 1] = bad
     with pytest.raises(ValueError, match="finite"):
-        _exact_sum(x)
+        _exact_units(x)
 
 
 def _chained_prefix(n: int) -> tuple[np.ndarray, int]:
