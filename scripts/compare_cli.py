@@ -61,6 +61,11 @@ COMMANDS = (
     "lemma --id 2 --a 2 --n 10",
     "simulate --n 5 --a 1 --seed -1 --trials 10",
     "identities --suite bogus",
+    # orders past the float range: C(a) or n^(1-a/2) in asymptotic, n^((a-1)/2) in lemma
+    "asymptotic --theorem 1 --a 400 --grid 100,1000",
+    "asymptotic --theorem 2 --a 219 --grid 100,1000",
+    "lemma --id 1 --a 1001 --n 10",
+    "lemma --id 2 --a 1001 --n 10",
     # help of the top-level parser and of each subcommand
     "--help",
     "exact --help",

@@ -216,13 +216,18 @@ def remainder_diagnostic(a: int, n_grid: list[int] | tuple[int, ...]) -> Asympto
     if any(hi <= lo for lo, hi in zip(grid, grid[1:])):
         raise ValueError("n_grid must be strictly increasing")
     constant = leading_constant(a)
-    c_float = constant.to_float()
+    try:
+        c_float = constant.to_float()
+    except OverflowError:
+        raise ValueError(f"C({a}) exceeds the float range") from None
     measured = []
     normalized = []
     residuals = []
     for n in grid:
-        s = total_moment_float(MomentQuery(n=n, a=a)).total
         scale = float(n) ** (1.0 - a / 2.0)
+        if scale == 0.0:
+            raise ValueError(f"n^(1-a/2) underflows to 0 at n = {n}, a = {a}")
+        s = total_moment_float(MomentQuery(n=n, a=a)).total
         measured.append(s)
         normalized.append(s / scale)
         residuals.append(s - c_float * scale)

@@ -187,13 +187,18 @@ def _cmd_lemma(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Tab
         fn = vanishing_signed_sum if args.id == 1 else vanishing_tail_correction_sum
         half = (args.a - 1) // 2
         for n in grid:
+            try:
+                scale = float(n) ** half
+            except OverflowError:
+                raise ValueError(f"n^((a-1)/2) exceeds the float range at n = {n}, "
+                                 f"a = {args.a}") from None
             v = fn(n, args.a)
             rows.append(
                 {
                     "n": str(n),
                     "value": _frac(v),
                     "value_approx": _flt(float(v)),
-                    "normalized": _flt(float(n) ** half * abs(float(v))),
+                    "normalized": _flt(scale * abs(float(v))),
                 }
             )
     else:

@@ -149,6 +149,18 @@ def test_every_size_limit_exits_3(capsys, argv, message):
     assert run_cli(capsys, *argv) == (3, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("asymptotic", "--theorem", "1", "--a", "400", "--grid", "100,1000"),  # C(a) overflows
+    ("asymptotic", "--theorem", "2", "--a", "219", "--grid", "100,1000"),  # n^(1-a/2) is 0
+    ("lemma", "--id", "1", "--a", "1001", "--n", "10"),  # n^((a-1)/2) overflows
+    ("lemma", "--id", "2", "--a", "1001", "--n", "10"),
+])
+def test_large_orders_past_the_float_range_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_lemma_4_below_one_sensor_stays_a_usage_error(capsys):
     code, out, err = run_cli(capsys, "lemma", "--id", "4", "--c", "0", "--grid", "0,10")
     assert (code, out, err) == (2, "", "error: n must lie in [1, 10^7]\n")

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from anchor_moments import identities
 from anchor_moments.identities import SUITES, run_suite, suite_names
 from anchor_moments.special_functions import HalfIntValue, gamma_half_int
 
@@ -31,6 +32,38 @@ def test_all_suite_is_union():
     member_count = sum(len(checks) for checks in SUITES.values()) + 4  # + technical2b rows
     assert len(all_names) == member_count
     assert len(set(all_names)) == len(all_names)
+
+
+def test_all_suite_rows_in_order():
+    assert [r.name for r in run_suite("all")] == [
+        "rising-factorial-power-expansion", "falling-factorial-power-expansion",
+        "power-falling-factorial-expansion", "power-basis-round-trip",
+        "telescoping-product-sum", "power-sum-polynomial-degree", "factorial-two-sided-bounds",
+        "eulerian-row-sum", "subset-near-diagonal-expansion", "cycle-near-diagonal-expansion",
+        "regularized-beta-in-unit-range", "incomplete-beta-step-down",
+        "incomplete-beta-complement", "beta-symmetry", "beta-binomial-reciprocal",
+        "float-beta-matches-exact",
+        "alternating-odd-reciprocal-sum",
+        "difference-annihilates-low-degree", "difference-top-degree-factorial",
+        *(f"diagonal-beta-identity[a={a}]" for a in (1, 3, 5, 7)),
+    ]
+    counts = {"stirling": 7, "eulerian": 3, "beta": 6, "gould": 1, "finite-diff": 2,
+              "technical2b": 4}
+    assert {name: len(run_suite(name)) for name in counts} == counts
+
+
+def test_exact_check_reports_its_failing_cases(monkeypatch):
+    stirling_cycle = identities.stirling_cycle
+
+    def off_by_one(n, k):
+        return stirling_cycle(n, k) + ((n, k) == (5, 2))  # one cell off by one
+
+    monkeypatch.setattr(identities, "stirling_cycle", off_by_one)
+    result = identities.check_rising_to_power()
+    failing = int(result.detail.split()[0])
+    assert (result.name, result.passed, result.residual) == (
+        "rising-factorial-power-expansion", False, 1.0)
+    assert failing > 0 and result.detail == f"{failing} failing cases"
 
 
 def test_unknown_suite_raises():
