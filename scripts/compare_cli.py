@@ -61,6 +61,8 @@ COMMANDS = (
     "lemma --id 2 --a 2 --n 10",
     "simulate --n 5 --a 1 --seed -1 --trials 10",
     "identities --suite bogus",
+    "asymptotic --theorem 2 --a 215 --grid 100,1000",  # n^(1-a/2) subnormal at the last n
+    "asymptotic --theorem 2 --a 127 --grid 100,100000",
     # orders past the float range: C(a) or n^(1-a/2) in asymptotic, n^((a-1)/2) in lemma
     "asymptotic --theorem 1 --a 400 --grid 100,1000",
     "asymptotic --theorem 2 --a 219 --grid 100,1000",

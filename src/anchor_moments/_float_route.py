@@ -1,11 +1,13 @@
 """Float route of moments.py for odd orders, on numpy arrays.  moments.total_moment_float
-at odd a, and the lemma 4 and float-Beta checks for the density, load it on first call, so
-the exact route and the CLI start without numpy.  moments owns the route's size limit."""
+at odd a, lemma 4's sum and the float-Beta check load it on first call, so the exact route
+and the CLI start without numpy.  moments owns the route's size limit.  This module alone
+knows how floats are summed exactly (exact_sum) and how the sensors are walked in passes."""
 
 from __future__ import annotations
 
 import math
 from decimal import Context, Decimal, localcontext
+from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
@@ -13,9 +15,9 @@ import numpy as np
 _CHUNK = 2**14  # a multiple of _ANCHOR_EVERY, so a pass starts on a chain anchor with its carry
 
 
-def _exact_units(x: np.ndarray) -> int:
-    """Exact sum of a float array, in passes of _CHUNK, as an integer multiple of 2^-1126;
-    dividing it by 1 << 1126 rounds once, to math.fsum(x).
+def exact_sum(x: np.ndarray) -> Fraction:
+    """Exact sum of a float array, in passes of _CHUNK; float() of it rounds once, to
+    math.fsum(x).
 
     np.frexp gives x = M 2^(e-53), M an integer below 2^53 in size, split as hi 2^26 + lo
     with |hi| <= 2^27 and 0 <= lo < 2^26.  np.bincount over e sums each part exactly in
@@ -34,7 +36,7 @@ def _exact_units(x: np.ndarray) -> int:
         bins = np.flatnonzero((hi_sums != 0) | (lo_sums != 0))
         for b, hs, ls in zip(bins.tolist(), hi_sums[bins].tolist(), lo_sums[bins].tolist()):
             total += ((int(hs) << 26) + int(ls)) << b
-    return total
+    return Fraction(total, 1 << 1126)
 
 
 def _anchor_terms(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -80,6 +82,16 @@ def beta_density_at_anchor(n: int, i: np.ndarray) -> np.ndarray:
     return dens
 
 
+def anchor_sum(n: int, c: float) -> float:
+    """sum_i 2 f_i(t_i) t_i^(c+1) (1-t_i) over i = 1..n, f_i the Beta(i, n-i+1) density:
+    summed exactly in passes of _CHUNK sensors and rounded once."""
+    total = Fraction(0)
+    for lo in range(1, n + 1, _CHUNK):
+        i, t, one_minus_t = _anchor_terms(n, lo, min(lo + _CHUNK, n + 1))
+        total += exact_sum(2.0 * beta_density_at_anchor(n, i) * t ** (c + 1) * one_minus_t)
+    return float(total)
+
+
 def _left_moment(n: int, a: int, tq, h, g, start):
     """L_a = E[(t-X)^a; X < t], X ~ Beta(i, n-i+1), by the Pearson recurrence.
 
@@ -113,7 +125,7 @@ def _tail_step(n: int, i: np.ndarray, dens: np.ndarray) -> np.ndarray:
 
 
 def _units(x: np.ndarray) -> list[int]:
-    """Each value of a float array as an exact integer multiple of 2^-1126 (see _exact_units)."""
+    """Each value of a float array as an exact integer multiple of 2^-1126 (see exact_sum)."""
     m, e = np.frexp(x)
     return [mant << shift for mant, shift in
             zip(np.ldexp(m, 53).astype(np.int64).tolist(), (e + 1073).tolist())]
@@ -132,8 +144,8 @@ def _top_tail(n: int, i: np.ndarray, q: np.ndarray, dens: np.ndarray) -> np.ndar
 
 
 def _left_tail_start(n: int, i: np.ndarray, q: np.ndarray, dens: np.ndarray,
-                     carry: list[int] | None = None) -> np.ndarray:
-    """L_0 = T_i = I(t_i; i, n-i+1) for a run of computed sensors, q = 1 - t.
+                     carry: int | None = None) -> tuple[np.ndarray, int | None]:
+    """L_0 = T_i = I(t_i; i, n-i+1) for a run of computed sensors, q = 1 - t, and the carry.
 
     Where n t(1-t) = (i-1/2)(n-i+1/2)/n, which falls in i on this half, is at least
     _CHAIN_MIN_VAR, T is chained up from the middle sensor, where the reflection
@@ -148,42 +160,39 @@ def _left_tail_start(n: int, i: np.ndarray, q: np.ndarray, dens: np.ndarray,
     start = np.empty_like(i)
     start[m:] = _top_tail(n, i[m:], q[m:], dens[m:])
     if m:
-        carry = [] if carry is None else carry
-        if not carry:  # i[0] is the middle sensor; a step's units are even, so halving is exact
+        if carry is None:  # i[0] is the middle sensor; a step's units are even, so halving is exact
             mid = 0 if n % 2 else _units(_tail_step(n, i[:1] - 1, dens[:1]))[0]
-            carry.append((1 << 1126) + mid >> 1)
+            carry = (1 << 1126) + mid >> 1
         step = np.zeros((-(-m // k), k))  # step[r, j] = T_(s+1) - T_s at sensor s = i[r k + j]
         step.ravel()[:m] = _tail_step(n, i[:m], dens[:m])
         anchors = []
         for block in _units(step.sum(axis=1)):
-            anchors.append(carry[0] / (1 << 1126))  # int / int rounds correctly
-            carry[0] += block
+            anchors.append(carry / (1 << 1126))  # int / int rounds correctly
+            carry += block
         below = np.zeros_like(step)  # T less T at the block's anchor
         np.cumsum(step[:, :-1], axis=1, out=below[:, 1:])
         start[:m] = (np.array(anchors)[:, None] + below).ravel()[:m]
-    return start
+    return start, carry
 
 
-def _passes(n: int, a: int) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+def _passes(n: int, a: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """For odd a, the computed sensors i > n/2 in passes of at most _CHUNK: for each pass,
-    its first sensor and its e_total, e_signed_part and e_folded_part arrays.
+    its first sensor, E(t-X)^a and L_a = E[(t-X)^a; X < t].
 
-    -E(t-X)^a gives the signed parts, 2 L_a the folded parts and 2 L_a - E(t-X)^a the
-    totals; L_0 comes from _left_tail_start, whose carry joins the passes.  Each field is
-    formed elementwise and each pass starts on a chain anchor, so the bits do not depend on
-    _CHUNK.  The middle sensor of odd n leads the first pass.  Even orders take the closed
-    form, moments.signed_moment_total.
+    A sensor's total is 2 L_a - E(t-X)^a.  L_0 comes from _left_tail_start, whose carry
+    joins the passes.  Each value is formed elementwise and each pass starts on a chain
+    anchor, so the bits do not depend on _CHUNK.  The middle sensor of odd n leads the first
+    pass.  Even orders take the closed form, moments.signed_moment_total.
     """
-    carry: list[int] = []
+    carry = None
     for lo in range(n // 2 + 1, n + 1, _CHUNK):
         i, t, one_minus_t = _anchor_terms(n, lo, min(lo + _CHUNK, n + 1))
         h = (2.0 * i - 1.0 - n) / (2 * n)  # t - 1/2
         tq = t * one_minus_t
         full = _left_moment(n, a, tq, h, 0.0, 1.0)
         dens = beta_density_at_anchor(n, i)
-        start = _left_tail_start(n, i, one_minus_t, dens, carry)
-        left = _left_moment(n, a, tq, h, tq * dens, start)
-        yield lo, 2.0 * left - full, -full, 2.0 * left
+        start, carry = _left_tail_start(n, i, one_minus_t, dens, carry)
+        yield lo, full, _left_moment(n, a, tq, h, tq * dens, start)
 
 
 def odd_total(n: int, a: int) -> float:
@@ -193,9 +202,10 @@ def odd_total(n: int, a: int) -> float:
     half (_passes) less the middle sensor of odd n, rounded once; no per-sensor array
     outlives its pass.
     """
-    total = 0
-    for lo, e_total, _, _ in _passes(n, a):
-        total += 2 * _exact_units(e_total)
+    total = Fraction(0)
+    for lo, full, left in _passes(n, a):
+        e_total = 2.0 * left - full
+        total += 2 * exact_sum(e_total)
         if lo == n // 2 + 1:  # the middle sensor, counted once
-            total -= _exact_units(e_total[: n % 2])
-    return total / (1 << 1126)  # int / int rounds correctly
+            total -= exact_sum(e_total[: n % 2])
+    return float(total)

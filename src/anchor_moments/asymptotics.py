@@ -12,6 +12,7 @@ n-grids.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from fractions import Fraction
 
@@ -132,20 +133,15 @@ def abel_anchor_sum(n: int, c: float) -> float:
 
     Grows like n^(3/2) * (2/sqrt(2 pi)) * B(c+3/2, 3/2).  Each term is
     2 f_i(t_i) t_i^(c+1) (1-t_i) with f_i the Beta(i, n-i+1) density; summed exactly in
-    passes of _CHUNK sensors and rounded once, from terms good to about 1e-15, up to n = 10^7.
+    passes of sensors and rounded once, from terms good to about 1e-15, up to n = 10^7.
     """
     if n < 1:
         raise ValueError("n must lie in [1, 10^7]")
     _size_guard(n, _FLOAT_N_GUARD, "n must lie in [1, 10^7]")
     if not 0 <= c < math.inf:  # also refuses NaN
         raise ValueError("c must lie in [0, inf)")
-    from ._float_route import (_CHUNK, _anchor_terms, _exact_units,  # numpy, on first use
-                               beta_density_at_anchor)
-    total = 0
-    for lo in range(1, n + 1, _CHUNK):
-        i, t, one_minus_t = _anchor_terms(n, lo, min(lo + _CHUNK, n + 1))
-        total += _exact_units(2.0 * beta_density_at_anchor(n, i) * t ** (c + 1) * one_minus_t)
-    return total / (1 << 1126)  # int / int rounds correctly
+    from ._float_route import anchor_sum  # numpy, on first use
+    return anchor_sum(n, c)
 
 
 def diagonal_coefficients(a: int) -> CoefficientSet:
@@ -225,8 +221,8 @@ def remainder_diagnostic(a: int, n_grid: list[int] | tuple[int, ...]) -> Asympto
     residuals = []
     for n in grid:
         scale = float(n) ** (1.0 - a / 2.0)
-        if scale == 0.0:
-            raise ValueError(f"n^(1-a/2) underflows to 0 at n = {n}, a = {a}")
+        if scale < sys.float_info.min:  # a subnormal scale loses digits of normalized
+            raise ValueError(f"n^(1-a/2) underflows to {scale:g} at n = {n}, a = {a}")
         s = total_moment_float(MomentQuery(n=n, a=a)).total
         measured.append(s)
         normalized.append(s / scale)

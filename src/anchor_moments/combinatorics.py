@@ -72,56 +72,36 @@ _cycle_rows: list[list[int]] = [[1]]
 _subset_rows: list[list[int]] = [[1]]
 _euler2_rows: list[list[int]] = [[1]]
 
-
-def _grow(rows: list[list[int]], n: int, cell: Callable[[int, list[int], int], int]) -> None:
-    while len(rows) <= n:
-        m = len(rows)
-        prev = rows[-1]
-        row = [cell(m, prev, k) for k in range(m + 1)]
-        rows.append(row)
+# a row's rule: T(m, k) from m, k, T(m-1, k-1) and T(m-1, k)
+_Rule = Callable[[int, int, int, int], int]
 
 
-def _cycle_cell(n: int, prev: list[int], k: int) -> int:
-    left = prev[k - 1] if 1 <= k <= n else 0
-    right = prev[k] if k < n else 0
-    return left + (n - 1) * right
-
-
-def _subset_cell(n: int, prev: list[int], k: int) -> int:
-    left = prev[k - 1] if 1 <= k <= n else 0
-    right = prev[k] if k < n else 0
-    return left + k * right
-
-
-def _euler2_cell(n: int, prev: list[int], k: int) -> int:
-    # <<n,k>> = (k+1)<<n-1,k>> + (2n-1-k)<<n-1,k-1>>
-    left = prev[k] if k < n else 0
-    right = prev[k - 1] if 1 <= k <= n else 0
-    return (k + 1) * left + (2 * n - 1 - k) * right
-
-
-def _lookup(rows: list[list[int]], cell, n: int, k: int) -> int:
+def _lookup(rows: list[list[int]], rule: _Rule, n: int, k: int) -> int:
     if n < 0:
         raise ValueError("triangle index requires n >= 0")
     if k < 0 or k > n:
         return 0
-    _grow(rows, n, cell)
+    while len(rows) <= n:
+        m, prev = len(rows), [0, *rows[-1], 0]  # T(m-1, -1) = T(m-1, m) = 0
+        rows.append([rule(m, j, prev[j], prev[j + 1]) for j in range(m + 1)])
     return rows[n][k]
 
 
 def stirling_cycle(n: int, k: int) -> int:
     """Unsigned Stirling number of the first kind (permutations by cycles)."""
-    return _lookup(_cycle_rows, _cycle_cell, n, k)
+    return _lookup(_cycle_rows, lambda m, j, left, up: left + (m - 1) * up, n, k)
 
 
 def stirling_subset(n: int, k: int) -> int:
     """Stirling number of the second kind (set partitions into k blocks)."""
-    return _lookup(_subset_rows, _subset_cell, n, k)
+    return _lookup(_subset_rows, lambda m, j, left, up: left + j * up, n, k)
 
 
 def eulerian_second_order(n: int, k: int) -> int:
     """Second-order Eulerian number; row n sums to (2n)!/(n! 2^n)."""
-    return _lookup(_euler2_rows, _euler2_cell, n, k)
+    # <<m,j>> = (j+1)<<m-1,j>> + (2m-1-j)<<m-1,j-1>>
+    return _lookup(_euler2_rows, lambda m, j, left, up: (j + 1) * up + (2 * m - 1 - j) * left,
+                   n, k)
 
 
 def finite_difference(a: int, f: Callable[[int], Rational]) -> Rational:

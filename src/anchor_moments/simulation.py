@@ -4,9 +4,9 @@ measure the summed a-th power displacement.
 Trial block b (4096 trials) draws from its own SFC64 stream,
 SeedSequence(seed, spawn_key=(b,)), one cache-sized tile at a time, and each
 trial owns a fixed row of its block's draws.  Trial costs therefore depend
-only on (seed, trial index).  Each block folds its costs into two integers as
-soon as it has them, the exact sums of the costs and of their squares, and
-those integer sums do not depend on their order, so results are bit-identical
+only on (seed, trial index).  Each block folds its costs into two exact sums as
+soon as it has them, the sums of the costs and of their squares, and those
+exact sums do not depend on their order, so results are bit-identical
 for any worker count and memory does not grow with the number of trials.
 """
 
@@ -18,7 +18,9 @@ from collections import namedtuple
 from functools import partial
 from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
+if TYPE_CHECKING:  # fractions and numpy load on first use: the CLI starts without them
+    from fractions import Fraction
+
     import numpy as np
 
 __all__ = ["SimulationConfig", "SimulationResult", "estimate"]
@@ -91,8 +93,8 @@ def _block_costs(seed: int, block: int, rows: int, n: int, a: int) -> np.ndarray
     return costs
 
 
-def _span_sums(seed: int, blocks: range, trials: int, n: int, a: int) -> tuple[int, int]:
-    """Exact sums of the costs and of their squares over a run of blocks, in units of 2^-1126.
+def _span_sums(seed: int, blocks: range, trials: int, n: int, a: int) -> tuple[Fraction, Fraction]:
+    """Exact sums of the costs and of their squares over a run of blocks.
 
     The costs of _FOLD blocks at a time share one exact-sum pass, which costs less than one
     pass per block.  Each square is c^2 = sq + err with sq = fl(c^2) and err exact, by Dekker's
@@ -102,7 +104,7 @@ def _span_sums(seed: int, blocks: range, trials: int, n: int, a: int) -> tuple[i
     3 trials 2^-1074 absolute and the variance to 6 2^-1074.
     """
     import numpy as np
-    from ._float_route import _exact_units
+    from ._float_route import exact_sum
     total = total_sq = 0
     for first in blocks[::_FOLD]:
         c = np.concatenate([_block_costs(seed, b, min(_BLOCK, trials - b * _BLOCK), n, a)
@@ -112,8 +114,8 @@ def _span_sums(seed: int, blocks: range, trials: int, n: int, a: int) -> tuple[i
         lo = c - hi
         sq = c * c
         err = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo  # c^2 - sq, exactly
-        total += _exact_units(c)
-        total_sq += _exact_units(sq) + _exact_units(err)
+        total += exact_sum(c)
+        total_sq += exact_sum(sq) + exact_sum(err)
     return total, total_sq
 
 
@@ -139,9 +141,9 @@ def estimate(config: SimulationConfig) -> SimulationResult:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             sums = list(pool.map(job, spans))
     total, total_sq = map(sum, zip(*sums))
-    mean = total / (1 << 1126) / trials  # int / int rounds correctly
+    mean = float(total) / trials  # the rounded sum, divided: float(total / trials) can differ
     if trials > 1:
-        var = (((trials * total_sq) << 1126) - total * total) / ((trials * (trials - 1)) << 2252)
+        var = float((trials * total_sq - total * total) / (trials * (trials - 1)))
         std_error = math.sqrt(var / trials)
     else:
         std_error = 0.0

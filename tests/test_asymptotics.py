@@ -360,6 +360,13 @@ def test_remainder_diagnostic_high_odd_orders():
         assert report.fitted_exponent <= -(a - 1) / 2
 
 
+def test_remainder_diagnostic_refuses_a_subnormal_scale():
+    # n^(1-a/2) at n = 1000 is 3.2e-308 for a = 207, a normal float, and 3.2e-311 for a = 209
+    assert remainder_diagnostic(207, (100, 1000)).n_grid == (100, 1000)
+    with pytest.raises(ValueError, match=r"underflows to 3\.16228e-311 at n = 1000, a = 209"):
+        remainder_diagnostic(209, (100, 1000))
+
+
 def test_remainder_diagnostic_validates_grid():
     with pytest.raises(ValueError):
         remainder_diagnostic(1, [100])

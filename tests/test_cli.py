@@ -152,6 +152,8 @@ def test_every_size_limit_exits_3(capsys, argv, message):
 @pytest.mark.parametrize("argv", [
     ("asymptotic", "--theorem", "1", "--a", "400", "--grid", "100,1000"),  # C(a) overflows
     ("asymptotic", "--theorem", "2", "--a", "219", "--grid", "100,1000"),  # n^(1-a/2) is 0
+    ("asymptotic", "--theorem", "2", "--a", "215", "--grid", "100,1000"),  # it is subnormal
+    ("asymptotic", "--theorem", "2", "--a", "127", "--grid", "100,100000"),
     ("lemma", "--id", "1", "--a", "1001", "--n", "10"),  # n^((a-1)/2) overflows
     ("lemma", "--id", "2", "--a", "1001", "--n", "10"),
 ])

@@ -12,10 +12,10 @@ from anchor_moments._float_route import (
     _ANCHOR_EVERY,
     _CHAIN_MIN_VAR,
     _CHUNK,
-    _exact_units,
     _left_tail_start,
     _tail_step,
     beta_density_at_anchor,
+    exact_sum,
 )
 from anchor_moments.moments import (
     EXACT_N_GUARD,
@@ -279,10 +279,12 @@ def test_float_matches_exact_sampled_grid():
 
 def _float_fields(n: int, a: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """The float route's computed sensors, n//2+1..n, joined over its passes: the first
-    sensor, then e_total, e_signed_part and e_folded_part."""
+    sensor, then e_total, e_signed_part and e_folded_part, formed from E(t-X)^a and L_a
+    as odd_total forms e_total."""
     passes = list(_float_route._passes(n, a))
     assert [lo for lo, *_ in passes] == list(range(n // 2 + 1, n + 1, _float_route._CHUNK))
-    return (passes[0][0], *(np.concatenate([p[k] for p in passes]) for k in (1, 2, 3)))
+    full, left = (np.concatenate([p[k] for p in passes]) for k in (1, 2))
+    return passes[0][0], 2.0 * left - full, -full, 2.0 * left
 
 
 def test_float_breakdown_consistency():
@@ -383,8 +385,8 @@ def test_float_bits_do_not_depend_on_the_chunk_size(monkeypatch, n, a):
     for chunk in (128, n):
         monkeypatch.setattr(_float_route, "_CHUNK", chunk)
         sums = []  # one exact sum per pass, and one for the middle sensor
-        monkeypatch.setattr(_float_route, "_exact_units",
-                            lambda x: sums.append(len(x)) or _exact_units(x))
+        monkeypatch.setattr(_float_route, "exact_sum",
+                            lambda x: sums.append(len(x)) or exact_sum(x))
         assert _float_bytes(n, a) == want, chunk
         assert len(sums) == 1 + -(-(n - n // 2) // chunk), chunk  # the patch took effect
 
@@ -433,8 +435,9 @@ _TINY = 5e-324
     [-(2.0 - 2.0**-52)] * (2**14 + 5) + [1e-30],  # the largest mantissas, one full pass
 ])
 def test_exact_sum_is_fsum(x):
-    total = _exact_units(np.array(x, dtype=np.float64)) / (1 << 1126)
-    assert total.hex() == math.fsum(x).hex()
+    total = exact_sum(np.array(x, dtype=np.float64))
+    assert total == sum(map(Fraction, x))
+    assert float(total).hex() == math.fsum(x).hex()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -442,7 +445,7 @@ def test_exact_sum_refuses_non_finite_values(bad):
     x = np.ones(2**14 + 3)
     x[2**14 + 1] = bad
     with pytest.raises(ValueError, match="finite"):
-        _exact_units(x)
+        exact_sum(x)
 
 
 def _chained_prefix(n: int) -> tuple[np.ndarray, int]:
@@ -483,7 +486,7 @@ def test_left_tail_start_matches_binomial_tail_oracle():
     i, m = _chained_prefix(n)
     assert m > 2 * k and (m - 1) % k != 0  # the last chained sensor is not an anchor
     dens = beta_density_at_anchor(n, i)
-    start = _left_tail_start(n, i, (2 * (n - i) + 1) / (2 * n), dens)
+    start, _ = _left_tail_start(n, i, (2 * (n - i) + 1) / (2 * n), dens)
     # an anchor, the first and last sensors of a block, the last chained sensor,
     # the first top sensor and i = n
     for j in (k, k + 1, 2 * k - 1, m - 1, m, len(i) - 1):
@@ -501,7 +504,7 @@ def test_left_tail_start_is_good_to_a_few_ulps(n):
     # scipy's betainc, which is off by up to 4e-14 here
     k = _ANCHOR_EVERY
     i, m = _chained_prefix(n)
-    start = _left_tail_start(n, i, (2 * (n - i) + 1) / (2 * n), beta_density_at_anchor(n, i))
+    start, _ = _left_tail_start(n, i, (2 * (n - i) + 1) / (2 * n), beta_density_at_anchor(n, i))
     mid, last = m // 2 // k * k, (m - 1) // k * k
     # anchors at the middle, halfway up and at the top of the chain, both ends of a block,
     # the last chained sensor, the first top sensor and i = n
