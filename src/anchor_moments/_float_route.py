@@ -108,8 +108,8 @@ def _left_moment(n: int, a: int, tq, h, g, start):
 
 
 # the chain rounds its exact sum at every _ANCHOR_EVERY-th sensor; the top sums take over
-# where n t(1-t) < _CHAIN_MIN_VAR: see _left_tail_start
-_ANCHOR_EVERY, _CHAIN_MIN_VAR = 128, 400.0
+# where n t(1-t) < _CHAIN_MIN_VAR: see _left_tail_start; _TOP_WIDTH_STEP: see _top_tail
+_ANCHOR_EVERY, _CHAIN_MIN_VAR, _TOP_WIDTH_STEP = 128, 400.0, 16
 _STEP_RULE = [(0.5 + s * math.sqrt(3 / 7 + c * 2 / 7 * math.sqrt(6 / 5)) / 2,  # Gauss-Legendre
                (18 - c * math.sqrt(30)) / 72) for c in (-1, 1) for s in (-1, 1)]  # on [0, 1]
 
@@ -135,12 +135,21 @@ def _top_tail(n: int, i: np.ndarray, q: np.ndarray, dens: np.ndarray) -> np.ndar
     """P(Bin(n, t_i) >= i), q = 1 - t, where n t(1-t) = s^2 < _CHAIN_MIN_VAR, as the positive sum
     of the pmf from k = i: pmf(i) = dens t / i, then pmf(k+1) = pmf(k) (n-k) t / ((k+1) q).  The
     terms stop at k = n; i exceeds the mean n t by 1/2, so by Bernstein's inequality the terms past
-    ceil(10 s) + 3 of them add less than 1e-17.  s^2 <= n/4, and the count depends on n alone,
-    so the bits do not depend on how the sensors are split into passes."""
+    ceil(10 s) + 3 of them add less than 1e-17.  Each sensor takes that many ratios, or n - i
+    if fewer, rounded up to a multiple of _TOP_WIDTH_STEP so that few array widths occur, and
+    no more than the count for s^2 = min(_CHAIN_MIN_VAR, n/4).  The count depends on n and i
+    alone, so the bits do not depend on how the sensors are split into passes."""
     t = (2.0 * i - 1.0) / (2 * n)
-    k = np.arange(math.ceil(10 * math.sqrt(min(_CHAIN_MIN_VAR, n / 4))) + 2)
-    ratio = (n - i[:, None] - k) / (i[:, None] + k + 1) * (t / q)[:, None]
-    return dens * t / i * (1.0 + np.cumprod(ratio, axis=1).sum(axis=1))
+    count = np.minimum(np.ceil(10 * np.sqrt(n * t * q)) + 2, n - i)
+    width = np.minimum(np.ceil(count / _TOP_WIDTH_STEP) * _TOP_WIDTH_STEP,
+                       math.ceil(10 * math.sqrt(min(_CHAIN_MIN_VAR, n / 4))) + 2).astype(np.int64)
+    sums = np.empty_like(i)
+    starts = np.flatnonzero(np.diff(width, prepend=-1)).tolist()  # runs of one width
+    for lo, hi in zip(starts, starts[1:] + [len(i)]):
+        k = np.arange(width[lo])
+        ratio = (n - i[lo:hi, None] - k) / (i[lo:hi, None] + k + 1) * (t / q)[lo:hi, None]
+        sums[lo:hi] = np.cumprod(ratio, axis=1).sum(axis=1)
+    return dens * t / i * (1.0 + sums)
 
 
 def _left_tail_start(n: int, i: np.ndarray, q: np.ndarray, dens: np.ndarray,

@@ -2,11 +2,11 @@
 
 The total expected cost behaves like C(a) * n^(1-a/2) with
 C(a) = Gamma(a/2+1) / (2^(a/2) (1+a)); for odd a the error term is
-O(n^-((a-1)/2)).  This module computes C(a) exactly, evaluates the interior
-sums whose vanishing drives that estimate (the CLI exposes them as diagnostic
-ids 1, 2 and 4), builds the diagonal coefficient family whose Beta-weighted
-sum reproduces C(a) exactly, and fits empirical remainder exponents on
-n-grids.
+O(n^-((a-1)/2)).  This module gives C(a) exactly (from _expansion, which owns the
+expansion's constants), evaluates the interior sums whose vanishing drives that
+estimate (the CLI exposes them as diagnostic ids 1, 2 and 4), builds the diagonal
+coefficient family whose Beta-weighted sum reproduces C(a) exactly, and fits
+empirical remainder exponents on n-grids.
 """
 
 from __future__ import annotations
@@ -16,10 +16,12 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
+from ._expansion import leading_constant
 from .combinatorics import finite_difference
 from .moments import (_FLOAT_N_GUARD, EXACT_N_GUARD, MomentQuery, _moment_denominator,
-                      _scaled_left_moment, _size_guard, signed_moment_total, total_moment_float)
-from .special_functions import HalfIntValue, _beta_tail, beta_exact, gamma_half_int
+                      _odd_float_route, _scaled_left_moment, _size_guard, signed_moment_total,
+                      total_moment_float)
+from .special_functions import HalfIntValue, _beta_tail, beta_exact
 
 __all__ = [
     "AsymptoticReport",
@@ -67,18 +69,6 @@ class AsymptoticReport(namedtuple("AsymptoticReport", "a constant constant_float
     normalized: tuple[float, ...]
     fitted_exponent: float
     degenerate_fit: bool
-
-
-def leading_constant(a: int) -> HalfIntValue:
-    """Exact C(a) = Gamma(a/2+1) / (2^(a/2) (1+a)).
-
-    Rational for even a; a rational multiple of sqrt(2 pi) for odd a.
-    """
-    if a < 1:
-        raise ValueError("a must be >= 1")
-    gamma = gamma_half_int(a + 2)  # Gamma(a/2 + 1)
-    half_powers_of_two = HalfIntValue(Fraction(1), a, 0)  # 2^(a/2)
-    return gamma / half_powers_of_two / (1 + a)
 
 
 def vanishing_signed_sum(n: int, a: int) -> Fraction:
@@ -198,7 +188,9 @@ def verify_diagonal_beta_identity(a: int) -> IdentityCheckResult:
 def remainder_diagnostic(a: int, n_grid: list[int] | tuple[int, ...]) -> AsymptoticReport:
     """Measure the total cost on a grid and fit the remainder exponent.
 
-    measured = total cost (float path); normalized = measured / n^(1-a/2),
+    measured = total cost: the closed form for even a, and for odd a the float route itself
+    (moments._odd_float_route, up to its size limit), never the expansion whose remainder
+    this measures; normalized = measured / n^(1-a/2),
     which approaches leading_constant(a).  The fit regresses
     log|measured - C n^(1-a/2)| on log n: the least-squares slope of those
     float points, computed exactly and rounded once.  Points whose residual is
@@ -223,7 +215,8 @@ def remainder_diagnostic(a: int, n_grid: list[int] | tuple[int, ...]) -> Asympto
         scale = float(n) ** (1.0 - a / 2.0)
         if scale < sys.float_info.min:  # a subnormal scale loses digits of normalized
             raise ValueError(f"n^(1-a/2) underflows to {scale:g} at n = {n}, a = {a}")
-        s = total_moment_float(MomentQuery(n=n, a=a)).total
+        q = MomentQuery(n=n, a=a)
+        s = _odd_float_route(q) if q.odd else total_moment_float(q).total
         measured.append(s)
         normalized.append(s / scale)
         residuals.append(s - c_float * scale)

@@ -514,6 +514,31 @@ def test_numpy_loads_only_when_used(modules_after_commands):
     assert seen["single_worker"][0]["numpy"]  # the Monte Carlo draws
 
 
+_EXPANSION_TIMES = """
+import json, sys, time
+from anchor_moments.moments import MomentQuery, total_moment_float
+slowest = 0.0
+for a in (1, 3, 5, 7, 9):
+    for n in (10**9, 10**12):
+        q = MomentQuery(n, a)
+        total_moment_float(q)  # warm
+        best = float("inf")
+        for _ in range(20):
+            start = time.perf_counter()
+            total_moment_float(q)
+            best = min(best, time.perf_counter() - start)
+        slowest = max(slowest, best)
+print(json.dumps(["numpy" in sys.modules, slowest]))
+"""
+
+
+def test_odd_float_totals_past_n0_load_no_numpy_and_take_under_a_millisecond():
+    # odd a <= 9 at 10^9 and 10^12 take the expansion: O(a) exact and decimal steps
+    numpy_loaded, slowest = _fresh_interpreter(_EXPANSION_TIMES)
+    assert not numpy_loaded
+    assert slowest < 1e-3
+
+
 def test_no_command_loads_dataclasses(modules_after_commands):
     # the package's records are namedtuple subclasses: dataclasses would pull in inspect, ast,
     # dis, tokenize and copy, most of start-up.  numpy imports inspect itself, so inspect is

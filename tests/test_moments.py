@@ -1,5 +1,7 @@
 import math
+import sys
 import tracemalloc
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import mpmath
@@ -8,6 +10,7 @@ import pytest
 from scipy import integrate
 
 from anchor_moments import _float_route
+from anchor_moments._expansion import ENVELOPE, c1, c2, expansion_value, leading_constant
 from anchor_moments._float_route import (
     _ANCHOR_EVERY,
     _CHAIN_MIN_VAR,
@@ -16,8 +19,10 @@ from anchor_moments._float_route import (
     _tail_step,
     beta_density_at_anchor,
     exact_sum,
+    odd_total,
 )
 from anchor_moments.moments import (
+    _EXPANSION_N0,
     EXACT_N_GUARD,
     MomentQuery,
     SensorMoment,
@@ -301,8 +306,11 @@ def test_float_large_n_matches_leading_constant():
 
 
 def test_float_path_rejects_oversize():
-    with pytest.raises(ValueError):
-        total_moment_float(MomentQuery(10**7 + 1, 1))
+    # odd a >= 11 keep the float route's limit; odd a <= 9 take the expansion past N0(a)
+    with pytest.raises(SizeGuardError, match=r"n <= 10\^7"):
+        total_moment_float(MomentQuery(10**7 + 1, 11))
+    s = total_moment_float(MomentQuery(10**12, 1)).total
+    assert s / 10**6 == pytest.approx(leading_constant(1).to_float(), rel=1e-12)
 
 
 def _quadratic_total(n: int) -> Fraction:
@@ -392,10 +400,10 @@ def test_float_bits_do_not_depend_on_the_chunk_size(monkeypatch, n, a):
 
 
 def test_float_route_temporaries_stay_small():
-    total_moment_float(MomentQuery(1000, 1))  # warm imports and caches
+    odd_total(1000, 1)  # warm imports and caches
     tracemalloc.start()
     try:
-        total_moment_float(MomentQuery(10**6, 1))
+        odd_total(10**6, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -403,14 +411,72 @@ def test_float_route_temporaries_stay_small():
 
 
 def test_float_total_keeps_no_per_sensor_array():
-    total_moment_float(MomentQuery(1000, 1))  # warm imports and caches
+    odd_total(1000, 1)  # warm imports and caches
     tracemalloc.start()
     try:
-        total_moment_float(MomentQuery(10**7, 1))
+        odd_total(10**7, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20  # one array of 10^7 doubles alone is 76 MiB
+
+
+# --- expansion route ---------------------------------------------------------------
+
+
+def test_expansion_n0_is_where_the_envelope_falls_below_2_to_the_minus_54():
+    # N0(a) is the smallest n with K n^-p <= 2^-54, in exact arithmetic.  The terms B_7 n^-7
+    # and B_9 n^-9 are left out; by their stated bound |B_a| <= a! they are below 2^-56
+    # relative from N0(a) on
+    assert sorted(_EXPANSION_N0) == sorted(ENVELOPE) == [1, 3, 5, 7, 9]
+    for a, (k, p) in ENVELOPE.items():
+        n0, power = _EXPANSION_N0[a], int(2 * p)
+        assert Fraction(n0) ** power >= (k * 2**54) ** 2 > Fraction(n0 - 1) ** power, a
+    for a in (7, 9):
+        bound = math.factorial(a) / leading_constant(a).to_float()
+        assert bound * _EXPANSION_N0[a] ** -(a / 2 + 1) < 2**-56, a
+
+
+@pytest.mark.parametrize("a", [1, 3, 5, 7, 9])
+def test_expansion_matches_exact_totals_within_its_envelope(a):
+    # the relative residual against the exact total is at most K n^-p (for a = 1 the
+    # boundary layer's n^-5/2 term, for a >= 3 the c3 n^-3 term)
+    k, p = ENVELOPE[a]
+    for n in (400, 1000):
+        exact = total_moment_exact(MomentQuery(n, a)).total
+        with localcontext(Context(prec=40)):
+            r = abs(Decimal(exact.numerator) / exact.denominator / expansion_value(n, a) - 1)
+        assert r <= k * Fraction(n) ** -p, (n, r)
+
+
+@pytest.mark.parametrize("a", [1, 3, 5, 7, 9])
+def test_expansion_matches_the_float_route_on_the_overlap(a):
+    # just below N0(a) the float route serves; from N0(a) on the expansion is within one ulp
+    # of it (measured: 0.57 ulp at most, at N0(1))
+    n0 = _EXPANSION_N0[a]
+    assert total_moment_float(MomentQuery(n0 - 1, a)).total == odd_total(n0 - 1, a)
+    for n in (n0, 10**6) + ((10**7,) if a == 1 else ()):
+        got, want = total_moment_float(MomentQuery(n, a)).total, odd_total(n, a)
+        assert abs(got - want) <= 2**-52 * want, (n, got, want)
+
+
+def test_expansion_coefficients_match_the_even_closed_form():
+    # for even a, R = S / (C n^(1-a/2)) = 1 - c1/n + c2/n^2 + O(n^-3), checked exactly at
+    # n = 10^40; at a = 2 the n^-2 coefficient is c2 + 1/216, as B_2 n^-2 has its power
+    n = 10**40
+    for a in range(2, 41, 2):
+        scale = leading_constant(a).rational * Fraction(n) ** (1 - a // 2)
+        r = signed_moment_total(MomentQuery(n, a)) / scale
+        want_c2 = c2(a) + (Fraction(1, 216) if a == 2 else 0)
+        assert abs(n * (1 - r) - c1(a)) <= Fraction(10**6, n), a
+        assert abs(n**2 * (r - 1 + c1(a) / n) - want_c2) <= Fraction(10**6, n), a
+
+
+def test_expansion_refuses_totals_outside_the_normal_floats():
+    assert total_moment_float(MomentQuery(10**80, 9)).total >= sys.float_info.min
+    for n, a in ((10**620, 1), (10**90, 9)):  # inf, and 2.3e-316
+        with pytest.raises(ValueError, match="outside the range of normal floats"):
+            total_moment_float(MomentQuery(n, a))
 
 
 _TINY = 5e-324

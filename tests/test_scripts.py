@@ -23,6 +23,17 @@ def test_convergence_table_prints_one_row_per_order_and_size():
     assert sum("fitted remainder exponent" in line for line in lines) == 2
 
 
+def test_expansion_envelope_prints_residuals_and_n0_per_order():
+    lines = run_script("expansion_envelope.py", "--orders", "1,3", "--grid", "100,400")
+    assert [line.split(":")[0] for line in lines if line.startswith("a = ")] == ["a = 1", "a = 3"]
+    rows = [line.split() for line in lines if line.startswith("  ") and line.split()[0].isdigit()]
+    assert [row[0] for row in rows] == ["100", "400"] * 2
+    assert all(0 < float(row[1]) < 1e-7 for row in rows)  # the residual, small and positive
+    fits = [line for line in lines if "fitted coefficient at n = 400" in line]
+    assert len(fits) == 2 and all("implies N0 = " in line for line in fits)
+    assert sum(line.endswith("from n = 400 on: yes") for line in lines) == 2
+
+
 def test_mc_vs_exact_prints_one_row_per_pair():
     lines = run_script("mc_vs_exact.py", "--trials", "4096")
     assert lines[0].split() == ["n", "a", "exact", "mc", "mean", "std", "err", "z"]
