@@ -2,29 +2,30 @@
 """Measure what the odd-order expansion leaves out, and the N0(a) it implies.
 
 For each odd order a and each n of the grid, the table gives the relative residual
-r = S/E - 1 of the exact total S against the expansion E (anchor_moments._expansion, to 40
-digits), and r n^p, where n^-p is the power of the first omitted term: p = 5/2 for a = 1,
-3 for a >= 3.  Below the table: the coefficient r n^p at the largest n, the N0 it implies
-(the smallest n with |r n^p| n^-p <= 2^-54), the committed envelope K and N0
-(_expansion.ENVELOPE, moments._EXPANSION_N0), and whether |r| <= K n^-p held on every row
-from n = 400 on.
+r = S/E - 1 of the exact total S against the four-term expansion E
+(anchor_moments._expansion, to 40 digits), and r n^p, where n^-p is the relative power of
+the first omitted term, taken from _expansion.ENVELOPE.  Below the table: the coefficient
+r n^p at the largest n and the N0 it implies (the smallest n with |r n^p| n^-p <= 2^-54);
+for a = 7 and 9, the N0 implied by the stated bound |B_a| <= a! (the smallest n with
+a!/C(a) n^-(a/2+1) <= 2^-56); the committed envelope K and N0 (_expansion.ENVELOPE,
+moments._EXPANSION_N0); and whether |r| <= K n^-p held on every row from n = 400 on.
 
     python3 scripts/expansion_envelope.py [--orders 1,3,5,7,9] [--grid 100,200,400,800,1600]
 
-The default grid takes about 8 s: an exact odd total costs about n^2.9.
+The default grid takes about 9 s on a 2-core machine: an exact odd total costs about n^2.9.
 """
 
 import argparse
+import math
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
-from anchor_moments._expansion import ENVELOPE, expansion_value
+from anchor_moments._expansion import ENVELOPE, expansion_value, leading_constant
 from anchor_moments.moments import _EXPANSION_N0, MomentQuery, total_moment_exact
 
 
-def smallest_n(k: Fraction, p: Fraction) -> int:
-    """The smallest n with |k| n^-p <= 2^-54, that is n^(2p) >= (k 2^54)^2, exactly."""
-    power, bound = int(2 * p), (k * 2**54) ** 2
+def smallest_n(bound: Fraction, power: int) -> int:
+    """The smallest n with n^power >= bound, exactly."""
     n = max(1, int(float(bound) ** (1 / power)) - 2)
     while Fraction(n) ** power < bound:
         n += 1
@@ -52,8 +53,11 @@ def main() -> None:
                 scaled = r * Decimal(n) ** Decimal(float(p))
             holds &= n < 400 or abs(scaled) <= k
             print(f"  {n:>6}  {float(r):>14.6e}  {float(scaled):>11.7f}")
-        print(f"  fitted coefficient at n = {grid[-1]}: {float(scaled):.6f}, "
-              f"implies N0 = {smallest_n(Fraction(scaled), p)}")
+        n0 = smallest_n((Fraction(scaled) * 2**54) ** 2, int(2 * p))  # |r| <= 2^-54
+        print(f"  fitted coefficient at n = {grid[-1]}: {float(scaled):.6f}, implies N0 = {n0}")
+        if a in (7, 9):  # (a! / C(a))^2 n^-(a+2) <= 2^-112, C(a)^2 = r^2 2 pi
+            bound = (math.factorial(a) / leading_constant(a).rational) ** 2 * 2**111
+            print(f"  |B_{a}| <= {a}! implies N0 = {smallest_n(bound / Fraction(math.pi), a + 2)}")
         print(f"  committed envelope K = {float(k)}, N0 = {_EXPANSION_N0[a]}; "
               f"|r| <= K n^-p from n = 400 on: {'yes' if holds else 'no'}")
         print()

@@ -2,19 +2,27 @@
 
 For odd a the total cost is
 
-    S(n, a) = C(a) n^(1-a/2) [1 - c1/n + c2/n^2] + B_a n^-a + (omitted terms),
+    S(n, a) = C(a) n^(1-a/2) [1 - c1/n + c2/n^2 + c3/n^3 + c4/n^4] + (boundary part)
+              + (omitted terms),
 
 C(a) = Gamma(a/2+1) / (2^(a/2) (1+a)) the paper's constant (leading_constant).  The paper
-proves the leading term, with remainder O(n^-((a-1)/2)); the other terms are measured:
+proves the leading term, with remainder O(n^-((a-1)/2)); the other terms are measured.
 
-- c1(a) = (a^2+6a+2)/36 is the 1/n coefficient of the even closed form, checked for every
-  even a from 2 to 40; for odd a it is checked through the residuals below.
-- c2(a) = c1^2/2 - (a+1)(a^2+22a+22)/1620 is fitted for odd a: least-squares fits of
-  exact totals at n = 100..1600 give it to 10 digits or more for a = 1, 3, 5, 7 and 9.
-  The same polynomial is the even closed form's n^-2 coefficient for every even a from 4
-  to 40.  At a = 2 that coefficient is 1/216 larger, as B_2 n^-2 has the same power.
-- B_a comes from the boundary layer, the sensors near each end, where n X_(i) tends to a
-  Gamma(i, 1) variable (_BOUNDARY).
+c1..c4 are the even closed form's coefficients, carried over to odd a.  For even a,
+n^(a-1) S(n, a) is a polynomial in n of degree a/2, so its coefficients are exact: c1..c4
+equal its n^-1..n^-4 coefficients for every even a from 8 to 40.  At a = 2, 4 and 6 the
+bracket ends at its n^-(a/2) term, as B_a n^-a has the power of the next one: a = 2
+differs from the n^-2 coefficient on (there c2 + 1/216 = 0), a = 4 from n^-3 on, and a = 6
+at n^-4.  For odd a they are checked through the residuals of exact totals at n = 100..2000:
+
+- c1(a) = (a^2+6a+2)/36 and c2(a) = c1^2/2 - (a+1)(a^2+22a+22)/1620.  Least-squares fits
+  give the odd n^-2 coefficient as c2 to 10 digits or more for a = 1, 3, 5, 7 and 9.
+- c3 is 0.00720, -0.0396, -0.659 and -3.32 at a = 3, 5, 7 and 9, the limits of r n^3
+  against the expansion to c2; c4 + c1 c3 is that residual's n^-4 coefficient to 3 digits
+  at a = 5, 7 and 9.  With c3 and c4 in, the residual falls to the orders in ENVELOPE.
+
+The boundary part comes from the sensors near each end, where n X_(i) tends to a
+Gamma(i, 1) variable (_BOUNDARY).
 
 ENVELOPE bounds what is left out, relative to the total.  moments serves odd a <= 9 from
 the expansion where that bound is below 2^-54, and scripts/expansion_envelope.py measures
@@ -28,24 +36,27 @@ from fractions import Fraction
 
 from .special_functions import HalfIntValue, gamma_half_int
 
-# Relative size of what the expansion leaves out: at most K n^-p, as (K, p).  For a = 1 the
-# first omitted term is the boundary layer's next one, relative n^-5/2; for a >= 3 it is
-# c3/n^3.  Measured as r n^p, r the relative residual against exact totals at n = 100..1600
-# (scripts/expansion_envelope.py): for a = 1 and 3 it rises like k - 0.0037 n^-1/2 towards
-# k = 0.01013 and 0.00719; for a = 5, 7 and 9 it falls in size like k + k'/n towards
-# k = -0.0396, -0.659 and -3.32, from -0.0398, -0.663 and -3.35 at n = 400.  Each K is |k|
-# rounded up, and bounds |r| n^p from n = 400 on.
-ENVELOPE = {1: (Fraction("0.0102"), Fraction(5, 2)), 3: (Fraction("0.0073"), Fraction(3)),
-            5: (Fraction("0.040"), Fraction(3)), 7: (Fraction("0.67"), Fraction(3)),
-            9: (Fraction("3.4"), Fraction(3))}
+# Relative size of what the expansion leaves out: at most K n^-p, as (K, p).  The first
+# omitted term is the boundary layer's next one for a = 1, 3 and 5 (relative n^-7/2, n^-7/2
+# and n^-9/2), B_7 n^-7 for a = 7 (n^-9/2), and c5/n^5 for a = 9.  Measured as r n^p, r the
+# relative residual against exact totals at n = 100..2000 (scripts/expansion_envelope.py):
+# for a = 1 and 5 it rises in size like k + k' n^-1/2 towards k = 0.000751 and 0.00107; for
+# a = 3, 7 and 9 it falls in size towards k = -0.00417, -0.00041 and -0.0212, from -0.00419,
+# -0.000476 and -0.0215 at n = 400.  Each K bounds |r| n^p from n = 400 on, |k| included.
+ENVELOPE = {1: (Fraction("0.00076"), Fraction(7, 2)), 3: (Fraction("0.0042"), Fraction(7, 2)),
+            5: (Fraction("0.0011"), Fraction(9, 2)), 7: (Fraction("0.00048"), Fraction(9, 2)),
+            9: (Fraction("0.022"), Fraction(5))}
 
-# B_a, fitted: 40-digit sums of the Gamma boundary layer, extrapolated in the number of
-# layers, match 11/540 to 15 digits and -193/90720 to 13; B_5 is the fitted value itself.
-# B_7 and B_9 are left out.  Stated bound, not proved: |B_a| <= a!, which B_1, B_3 and B_5
-# meet by factors of 49, 2800 and 250000; a term that large would show in the exact totals'
-# residuals at n = 100 above 1e-5 relative.  It is (B_a/C(a)) n^-(a/2+1) relative, so at
-# n >= 2.2e5, where moments takes the expansion for a = 7 and 9, it is below 1e-19 < 2^-56.
-_BOUNDARY = {1: Fraction(11, 540), 3: Fraction(-193, 90720), 5: Fraction(4.73373512541918e-4)}
+# The boundary part, sum_j B_(a,j) n^-(a+j), fitted.  40-digit sums of the Gamma boundary
+# layer, extrapolated in the number of layers, match B_1 = 11/540 to 15 digits and
+# B_3 = -193/90720 to 13; B_5 is the fitted value itself.  B_1's next term: least-squares
+# fits of (S - E) n^2 = B + k'/n + k''/n^2 over exact totals at n = 400..2000 give
+# B = 0.0031746031798, 1/315 to 2e-9.  B_7 and B_9 are left out.  Stated bound, not proved:
+# |B_a| <= a!, which B_1, B_3 and B_5 meet by factors of 49, 2800 and 250000, and B_7, near
+# -5e-5 by ENVELOPE's fit, by 10^8.  It is (B_a/C(a)) n^-(a/2+1) relative, so moments takes
+# the expansion for a = 7 and 9 only where that bound is below 2^-56.
+_BOUNDARY = {1: (Fraction(11, 540), Fraction(1, 315)), 3: (Fraction(-193, 90720),),
+             5: (Fraction(4.73373512541918e-4),)}
 
 _SQRT_2PI = Decimal("2.506628274631000502415765284811045253006987")
 
@@ -68,8 +79,20 @@ def c1(a: int) -> Fraction:
 
 
 def c2(a: int) -> Fraction:
-    """The n^-2 coefficient; fitted for odd a (see the module docstring)."""
+    """The n^-2 coefficient (see the module docstring)."""
     return c1(a) ** 2 / 2 - Fraction((a + 1) * (a * a + 22 * a + 22), 1620)
+
+
+def c3(a: int) -> Fraction:
+    """The n^-3 coefficient (see the module docstring)."""
+    return -Fraction(175 * a**6 + 2310 * a**5 - 5066 * a**4 - 52512 * a**3 + 48316 * a**2
+                     + 78552 * a + 116280, 48988800)
+
+
+def c4(a: int) -> Fraction:
+    """The n^-4 coefficient (see the module docstring)."""
+    return Fraction(175 * a**8 + 2520 * a**7 - 20880 * a**6 - 148848 * a**5 + 887640 * a**4
+                    + 46560 * a**3 - 2480320 * a**2 + 3252288 * a + 3147120, 7054387200)
 
 
 def expansion_value(n: int, a: int) -> Decimal:
@@ -79,9 +102,10 @@ def expansion_value(n: int, a: int) -> Decimal:
     everything but sqrt(2 pi n) is one exact Fraction; that root and the sum are formed in
     40-digit decimal.
     """
-    bracket = 1 - c1(a) / n + c2(a) / n**2
-    scaled = leading_constant(a).rational * bracket / Fraction(n) ** ((a - 1) // 2)
-    boundary = _BOUNDARY.get(a, 0) / Fraction(n) ** a
+    x = Fraction(1, n)
+    bracket = 1 + x * (-c1(a) + x * (c2(a) + x * (c3(a) + x * c4(a))))
+    scaled = leading_constant(a).rational * bracket * x ** ((a - 1) // 2)
+    boundary = sum(b * x ** (a + j) for j, b in enumerate(_BOUNDARY.get(a, ())))
     with localcontext(Context(prec=40)):
         root = _SQRT_2PI * Decimal(n).sqrt()
         return (root * Decimal(scaled.numerator) / scaled.denominator

@@ -118,8 +118,11 @@ def _tail_step(n: int, i: np.ndarray, dens: np.ndarray) -> np.ndarray:
     """T_(i+1) - T_i, T_i = I(t_i; i, n-i+1) = P(Bin(n, t_i) >= i), dens = f_i(t_i): the integral
     of f_i from t_i to t_(i+1) = t_i + 1/n, less pmf_i(t_(i+1)) = (2i+1)/(2i) f_i(t_(i+1)) / n,
     with f_i(t_i + x/n) = f_i(t_i) e^phi(x), phi(x) = (i-1) log1p(2x/P) + (n-i) log1p(-2x/Q)."""
-    def phi(x: float) -> np.ndarray:  # i - 1/2 = P/2, n - i + 1/2 = Q/2
-        return (i - 1) * np.log1p(x / (i - 0.5)) + (n - i) * np.log1p(-x / (n - i + 0.5))
+    below, above = i - 1, n - i
+    half_p, half_q = i - 0.5, n - i + 0.5  # P/2, Q/2
+
+    def phi(x: float) -> np.ndarray:
+        return below * np.log1p(x / half_p) + above * np.log1p(-x / half_q)
     quad = sum(w * np.expm1(phi(x)) for x, w in _STEP_RULE)
     return dens / n * (quad - (2 * i + 1) / (2 * i) * np.expm1(phi(1.0)) - 1 / (2 * i))
 

@@ -34,11 +34,12 @@ on a alone.  The exact totals and the float totals of even orders use it; the
 per-sensor route above stays its independent check, and the float route serves
 odd orders only.
 
-For odd a <= 9 and n >= _EXPANSION_N0[a] (5.1e4 for a = 3 up to 5.1e5 for a = 1), the float
-total is the three-term expansion of _expansion instead,
-C(a) n^(1-a/2) [1 - c1/n + c2/n^2] + B_a n^-a: O(a) work and no numpy.  What it leaves out
-is below 2^-54 relative there by a measured envelope, and it agrees with the float route
-to 1.3e-16 relative at N0(a) and 10^6, and at 10^7 for a = 1.  The float route stays the
+For odd a <= 9 and n >= _EXPANSION_N0[a] (902 for a = 5 up to 58469 for a = 7), the float
+total is the four-term expansion of _expansion instead,
+C(a) n^(1-a/2) [1 - c1/n + c2/n^2 + c3/n^3 + c4/n^4] plus a boundary part from n^-a on: O(a)
+work and no numpy.  What it leaves out is below 2^-54 relative there by a measured
+envelope, and it agrees with the float route to 1.2e-16 relative at N0(a), 10^5 and 10^6,
+and at 10^7 for a = 1.  The float route stays the
 expansion's oracle (asymptotics.remainder_diagnostic calls it through _odd_float_route)
 and serves odd a >= 11, up to _FLOAT_N_GUARD.
 """
@@ -73,8 +74,10 @@ __all__ = [
 EXACT_N_GUARD = 2000
 _FLOAT_N_GUARD = 10**7
 # Odd a <= 9 take the expansion from n = _EXPANSION_N0[a] on: the smallest n at which
-# _expansion.ENVELOPE, K n^-p, bounds what the expansion leaves out below 2^-54 relative.
-_EXPANSION_N0 = {1: 507_795, 3: 50_853, 5: 89_652, 7: 229_385, 9: 394_185}
+# _expansion.ENVELOPE, K n^-p, bounds what the expansion leaves out below 2^-54 relative,
+# and at which, for a = 7 and 9, the stated bound |B_a| <= a! puts B_a n^-a below 2^-56
+# relative.  That second bound sets N0 for a = 7 and 9.
+_EXPANSION_N0 = {1: 5_666, 3: 9_235, 5: 902, 7: 58_469, 9: 15_542}
 
 
 class SizeGuardError(ValueError):

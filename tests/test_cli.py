@@ -519,7 +519,7 @@ import json, sys, time
 from anchor_moments.moments import MomentQuery, total_moment_float
 slowest = 0.0
 for a in (1, 3, 5, 7, 9):
-    for n in (10**9, 10**12):
+    for n in (10**5, 10**9, 10**12):
         q = MomentQuery(n, a)
         total_moment_float(q)  # warm
         best = float("inf")
@@ -533,7 +533,7 @@ print(json.dumps(["numpy" in sys.modules, slowest]))
 
 
 def test_odd_float_totals_past_n0_load_no_numpy_and_take_under_a_millisecond():
-    # odd a <= 9 at 10^9 and 10^12 take the expansion: O(a) exact and decimal steps
+    # odd a <= 9 at 10^5, 10^9 and 10^12 take the expansion: O(a) exact and decimal steps
     numpy_loaded, slowest = _fresh_interpreter(_EXPANSION_TIMES)
     assert not numpy_loaded
     assert slowest < 1e-3

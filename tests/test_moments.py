@@ -10,7 +10,7 @@ import pytest
 from scipy import integrate
 
 from anchor_moments import _float_route
-from anchor_moments._expansion import ENVELOPE, c1, c2, expansion_value, leading_constant
+from anchor_moments._expansion import ENVELOPE, c1, c2, c3, c4, expansion_value, leading_constant
 from anchor_moments._float_route import (
     _ANCHOR_EVERY,
     _CHAIN_MIN_VAR,
@@ -366,13 +366,12 @@ def test_float_total_is_the_rounded_sum_of_its_sensors():
         for a in (1, 9):
             _, e_total, _, _ = _float_fields(n, a)
             want = math.fsum(np.concatenate([e_total, e_total[n % 2:]]))  # the middle once
-            assert total_moment_float(MomentQuery(n, a)).total == want
+            assert odd_total(n, a) == want
 
 
 def _float_bytes(n: int, a: int) -> tuple[bytes, ...]:
     _, *fields = _float_fields(n, a)
-    total = total_moment_float(MomentQuery(n, a)).total
-    return (*(f.tobytes() for f in fields), total.hex().encode())
+    return (*(f.tobytes() for f in fields), odd_total(n, a).hex().encode())
 
 
 @pytest.mark.parametrize("n,a", [(3 * 128 + 5, 1), (3 * 128 + 5, 2), (3 * 128 + 5, 9),
@@ -424,23 +423,30 @@ def test_float_total_keeps_no_per_sensor_array():
 # --- expansion route ---------------------------------------------------------------
 
 
+_PI_BELOW, _PI_ABOVE = Fraction(3141592653589793, 10**15), Fraction(3141592653589794, 10**15)
+
+
 def test_expansion_n0_is_where_the_envelope_falls_below_2_to_the_minus_54():
-    # N0(a) is the smallest n with K n^-p <= 2^-54, in exact arithmetic.  The terms B_7 n^-7
-    # and B_9 n^-9 are left out; by their stated bound |B_a| <= a! they are below 2^-56
-    # relative from N0(a) on
+    # N0(a) is the smallest n with K n^-p <= 2^-54 and, for a = 7 and 9, with the left-out
+    # B_a n^-a below 2^-56 relative by its stated bound |B_a| <= a!, in exact arithmetic:
+    # (a! / C(a))^2 n^-(a+2) <= 2^-112, C(a)^2 = r^2 2 pi, with pi between two rationals
     assert sorted(_EXPANSION_N0) == sorted(ENVELOPE) == [1, 3, 5, 7, 9]
     for a, (k, p) in ENVELOPE.items():
         n0, power = _EXPANSION_N0[a], int(2 * p)
-        assert Fraction(n0) ** power >= (k * 2**54) ** 2 > Fraction(n0 - 1) ** power, a
-    for a in (7, 9):
-        bound = math.factorial(a) / leading_constant(a).to_float()
-        assert bound * _EXPANSION_N0[a] ** -(a / 2 + 1) < 2**-56, a
+        assert Fraction(n0) ** power >= (k * 2**54) ** 2, a
+        envelope_binds = Fraction(n0 - 1) ** power < (k * 2**54) ** 2
+        if a in (7, 9):
+            bound = (math.factorial(a) / leading_constant(a).rational) ** 2 * 2**111
+            assert Fraction(n0) ** (a + 2) >= bound / _PI_BELOW, a
+            assert envelope_binds or Fraction(n0 - 1) ** (a + 2) < bound / _PI_ABOVE, a
+        else:
+            assert envelope_binds, a
 
 
 @pytest.mark.parametrize("a", [1, 3, 5, 7, 9])
 def test_expansion_matches_exact_totals_within_its_envelope(a):
-    # the relative residual against the exact total is at most K n^-p (for a = 1 the
-    # boundary layer's n^-5/2 term, for a >= 3 the c3 n^-3 term)
+    # the relative residual against the exact total is at most K n^-p, the envelope of the
+    # first omitted term
     k, p = ENVELOPE[a]
     for n in (400, 1000):
         exact = total_moment_exact(MomentQuery(n, a)).total
@@ -452,24 +458,41 @@ def test_expansion_matches_exact_totals_within_its_envelope(a):
 @pytest.mark.parametrize("a", [1, 3, 5, 7, 9])
 def test_expansion_matches_the_float_route_on_the_overlap(a):
     # just below N0(a) the float route serves; from N0(a) on the expansion is within one ulp
-    # of it (measured: 0.57 ulp at most, at N0(1))
+    # of it (measured: bit-identical but at N0(5), one last place apart)
     n0 = _EXPANSION_N0[a]
     assert total_moment_float(MomentQuery(n0 - 1, a)).total == odd_total(n0 - 1, a)
-    for n in (n0, 10**6) + ((10**7,) if a == 1 else ()):
+    for n in (n0, 10**5, 10**6) + ((10**7,) if a == 1 else ()):
         got, want = total_moment_float(MomentQuery(n, a)).total, odd_total(n, a)
         assert abs(got - want) <= 2**-52 * want, (n, got, want)
 
 
+def _polynomial_coefficients(xs: list[int], ys: list[Fraction]) -> list[Fraction]:
+    """Coefficients, lowest power first, of the polynomial through the points (xs, ys)."""
+    out = [Fraction(0)] * len(xs)
+    for j, (xj, yj) in enumerate(zip(xs, ys)):
+        basis, den = [Fraction(1)], 1  # prod over m != j of (x - x_m), lowest power first
+        for xm in xs[:j] + xs[j + 1:]:
+            basis = [up - xm * c for up, c in zip([0] + basis, basis + [0])]  # times (x - xm)
+            den *= xj - xm
+        out = [c + yj * b / den for c, b in zip(out, basis)]
+    return out
+
+
 def test_expansion_coefficients_match_the_even_closed_form():
-    # for even a, R = S / (C n^(1-a/2)) = 1 - c1/n + c2/n^2 + O(n^-3), checked exactly at
-    # n = 10^40; at a = 2 the n^-2 coefficient is c2 + 1/216, as B_2 n^-2 has its power
-    n = 10**40
+    # for even a, n^(a-1) S(n, a) is a polynomial in n of degree a/2, whose n^(a/2-k)
+    # coefficient is C(a) times the bracket's n^-k one: 1, -c1, c2, c3, c4.  Read off exactly,
+    # through a/2 + 2 points (one more than the degree needs).  At a = 2, 4 and 6 the bracket
+    # ends at its n^-(a/2) term, as B_a n^-a has the power of the next one: a = 2 differs
+    # from the n^-2 coefficient on, a = 4 from n^-3 on, and a = 6 at n^-4
     for a in range(2, 41, 2):
-        scale = leading_constant(a).rational * Fraction(n) ** (1 - a // 2)
-        r = signed_moment_total(MomentQuery(n, a)) / scale
-        want_c2 = c2(a) + (Fraction(1, 216) if a == 2 else 0)
-        assert abs(n * (1 - r) - c1(a)) <= Fraction(10**6, n), a
-        assert abs(n**2 * (r - 1 + c1(a) / n) - want_c2) <= Fraction(10**6, n), a
+        xs = list(range(1, a // 2 + 3))
+        ys = [Fraction(n) ** (a - 1) * signed_moment_total(MomentQuery(n, a)) for n in xs]
+        coefficients = _polynomial_coefficients(xs, ys)
+        assert coefficients[-1] == 0, a
+        got = [c / leading_constant(a).rational for c in coefficients[a // 2::-1]] + [0] * 4
+        want = [1, -c1(a), c2(a), c3(a), c4(a)]
+        for k in range(5):
+            assert (got[k] == want[k]) == (k <= a // 2), (a, k)
 
 
 def test_expansion_refuses_totals_outside_the_normal_floats():
