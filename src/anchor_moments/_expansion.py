@@ -31,6 +31,7 @@ it again from exact totals.
 
 from __future__ import annotations
 
+import functools
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
@@ -95,6 +96,13 @@ def c4(a: int) -> Fraction:
                     + 46560 * a**3 - 2480320 * a**2 + 3252288 * a + 3147120, 7054387200)
 
 
+@functools.lru_cache(maxsize=16)
+def _constants(a: int) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction,
+                                tuple[Fraction, ...]]:
+    """The rational part r of C(a), c1..c4 and the boundary terms of order a, formed once."""
+    return leading_constant(a).rational, c1(a), c2(a), c3(a), c4(a), _BOUNDARY.get(a, ())
+
+
 def expansion_value(n: int, a: int) -> Decimal:
     """The expansion at odd a <= 9, to 40 digits, in O(a) work.
 
@@ -102,10 +110,11 @@ def expansion_value(n: int, a: int) -> Decimal:
     everything but sqrt(2 pi n) is one exact Fraction; that root and the sum are formed in
     40-digit decimal.
     """
+    r, k1, k2, k3, k4, boundary_terms = _constants(a)
     x = Fraction(1, n)
-    bracket = 1 + x * (-c1(a) + x * (c2(a) + x * (c3(a) + x * c4(a))))
-    scaled = leading_constant(a).rational * bracket * x ** ((a - 1) // 2)
-    boundary = sum(b * x ** (a + j) for j, b in enumerate(_BOUNDARY.get(a, ())))
+    bracket = 1 + x * (-k1 + x * (k2 + x * (k3 + x * k4)))
+    scaled = r * bracket * x ** ((a - 1) // 2)
+    boundary = sum(b * x ** (a + j) for j, b in enumerate(boundary_terms))
     with localcontext(Context(prec=40)):
         root = _SQRT_2PI * Decimal(n).sqrt()
         return (root * Decimal(scaled.numerator) / scaled.denominator

@@ -28,6 +28,12 @@ Measured relative error: at most 2.2e-15 per field of a computed sensor
 against the exact route for n <= 200, a <= 9, and 4e-15 on totals against
 quadrature at n = 2000, 10^5 and 10^6.
 
+Only the recurrence depends on a.  A computed sensor's S_i and density term
+g = i C(n,i) P^i Q^(n-i+1) are kept in _tail_terms, an lru_cache of 1024 sensors keyed on
+(n, i), so every odd order at one n <= 2000 shares them; the float route keeps its passes'
+densities and tails the same way (_float_route._pass_terms).  After one odd total the cache
+holds 0.25 MiB at n = 400 (200 sensors) and about 6.3 MiB at n = 2000 (1000 sensors).
+
 For even a the total is sum_i E(t_i - X_i)^a, a finite sum of Beta moments, and
 signed_moment_total gives it in closed form, exact at any n in work that depends
 on a alone.  The exact totals and the float totals of even orders use it; the
@@ -46,6 +52,7 @@ and serves odd a >= 11, up to _FLOAT_N_GUARD.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from collections import namedtuple
@@ -168,6 +175,15 @@ def _mirror(q: MomentQuery, e: SensorMoment) -> SensorMoment:
                         e_folded_part=e.e_total - signed)
 
 
+@functools.lru_cache(maxsize=1024)
+def _tail_terms(n: int, i: int) -> tuple[int, int]:
+    """The integers of per_sensor_moment_exact that no order changes, for 2i > n:
+    g = i C(n,i) P^i Q^(n-i+1) = (2n)^(n+1) t_i(1-t_i) f_i(t_i) and the binomial tail
+    S_i = (2n)^n I(t_i; i, n-i+1), P = 2i-1 and Q = 2n-2i+1."""
+    p, r = 2 * i - 1, 2 * (n - i) + 1
+    return i * math.comb(n, i) * p**i * r ** (n - i + 1), _beta_tail(p, 2 * n, i, n - i + 1)
+
+
 def per_sensor_moment_exact(q: MomentQuery, i: int) -> SensorMoment:
     """Exact E|X_i - t_i|^a with its signed/folded decomposition.
 
@@ -191,10 +207,8 @@ def per_sensor_moment_exact(q: MomentQuery, i: int) -> SensorMoment:
     if not q.odd:
         m = Fraction(full, den)
         return SensorMoment(i=i, t=t, e_total=m, e_signed_part=m, e_folded_part=Fraction(0))
-    p, r = 2 * i - 1, 2 * (n - i) + 1
-    g = i * math.comb(n, i) * p**i * r ** (n - i + 1)
-    scale, tail = (2 * n) ** n, _beta_tail(p, 2 * n, i, n - i + 1)
-    folded = Fraction(2 * _scaled_left_moment(n, a, i, g, tail), scale * den)
+    g, tail = _tail_terms(n, i)
+    folded = Fraction(2 * _scaled_left_moment(n, a, i, g, tail), (2 * n) ** n * den)
     signed = Fraction(-full, den)
     return SensorMoment(i=i, t=t, e_total=folded + signed, e_signed_part=signed,
                         e_folded_part=folded)

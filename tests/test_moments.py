@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from anchor_moments import _float_route
+from anchor_moments import _expansion, _float_route
 from anchor_moments._expansion import ENVELOPE, c1, c2, c3, c4, expansion_value, leading_constant
 from anchor_moments._float_route import (
     _ANCHOR_EVERY,
@@ -29,6 +29,7 @@ from anchor_moments.moments import (
     SizeGuardError,
     _moment_denominator,
     _scaled_left_moment,
+    _tail_terms,
     anchor,
     per_sensor_moment_exact,
     signed_moment_total,
@@ -418,6 +419,53 @@ def test_float_total_keeps_no_per_sensor_array():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20  # one array of 10^7 doubles alone is 76 MiB
+
+
+# --- order-independent caches ------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1999, 2000, 40_000, 150_000])
+def test_float_sweep_over_orders_keeps_the_bits_of_cold_calls(n):
+    # every order at one n shares the passes' densities and tails; past four passes
+    # (n = 150000 has five) the LRU cache misses on every pass
+    orders = (1, 3, 5, 7, 9, 11)
+    _float_route._pass_terms.cache_clear()
+    warm = [odd_total(n, a).hex() for a in orders]
+    passes = -(-(n - n // 2) // _CHUNK)
+    hits = _float_route._pass_terms.cache_info().hits
+    assert hits == (0 if passes > 4 else (len(orders) - 1) * passes)
+    for a, want in zip(orders, warm):
+        _float_route._pass_terms.cache_clear()
+        assert odd_total(n, a).hex() == want, a
+
+
+def test_float_pass_terms_are_read_only():
+    n = 3 * _CHUNK
+    dens, start, _ = _float_route._pass_terms(n, n // 2 + 1, n // 2 + 1 + _CHUNK, None)
+    for cached in (dens, start):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 0.0
+
+
+def test_exact_sweep_over_orders_equals_cold_totals():
+    for n in (301, 400):
+        warm = [total_moment_exact(MomentQuery(n, a)) for a in (1, 3, 5)]
+        for a, want in zip((1, 3, 5), warm):
+            _tail_terms.cache_clear()
+            assert total_moment_exact(MomentQuery(n, a)) == want, (n, a)
+
+
+def test_order_independent_caches_are_found_by_a_module_scan():
+    # a benchmark that empties every cache_clear it finds in the package's modules
+    # starts each round cold only if every cache is a module attribute
+    found = {id(value) for name, module in list(sys.modules.items())
+             if name == "anchor_moments" or name.startswith("anchor_moments.")
+             for value in vars(module).values() if callable(getattr(value, "cache_clear", None))}
+    for cache in (_float_route._pass_terms, _tail_terms, _expansion._constants):
+        assert id(cache) in found, cache.__name__
+    warm = expansion_value(10**5, 7)
+    _expansion._constants.cache_clear()
+    assert expansion_value(10**5, 7) == warm
 
 
 # --- expansion route ---------------------------------------------------------------
