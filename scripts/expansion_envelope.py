@@ -3,12 +3,14 @@
 
 For each odd order a and each n of the grid, the table gives the relative residual
 r = S/E - 1 of the exact total S against the four-term expansion E
-(anchor_moments._expansion, to 40 digits), and r n^p, where n^-p is the relative power of
-the first omitted term, taken from _expansion.ENVELOPE.  Below the table: the coefficient
-r n^p at the largest n and the N0 it implies (the smallest n with |r n^p| n^-p <= 2^-54);
-for a = 7 and 9, the N0 implied by the stated bound |B_a| <= a! (the smallest n with
-a!/C(a) n^-(a/2+1) <= 2^-56); the committed envelope K and N0 (_expansion.ENVELOPE,
-moments._EXPANSION_N0); and whether |r| <= K n^-p held on every row from n = 400 on.
+(anchor_moments._expansion: the bracket rows b_1..b_4 of _BRACKET and the exact boundary
+constants of _BOUNDARY, to 40 digits), and r n^p, where n^-p is the relative power of the
+first omitted term, taken from _expansion.ENVELOPE (for a = 9, the bracket's next row,
+b_5(9) n^-5).  Below the table: the coefficient r n^p at the largest n and the N0 it implies
+(the smallest n with |r n^p| n^-p <= 2^-54); for a = 7 and 9, the N0 implied by the stated
+bound |B_a| <= a! (the smallest n with a!/C(a) n^-(a/2+1) <= 2^-56); the committed envelope
+K and N0 (_expansion.ENVELOPE, moments._EXPANSION_N0); and whether |r| <= K n^-p held on
+every row from n = 400 on.
 
     python3 scripts/expansion_envelope.py [--orders 1,3,5,7,9] [--grid 100,200,400,800,1600]
 

@@ -42,8 +42,8 @@ odd orders only.
 
 For odd a <= 9 and n >= _EXPANSION_N0[a] (902 for a = 5 up to 58469 for a = 7), the float
 total is the four-term expansion of _expansion instead,
-C(a) n^(1-a/2) [1 - c1/n + c2/n^2 + c3/n^3 + c4/n^4] plus a boundary part from n^-a on: O(a)
-work and no numpy.  What it leaves out is below 2^-54 relative there by a measured
+C(a) n^(1-a/2) [1 + b_1/n + ... + b_4/n^4] with each b_k a polynomial in a (_BRACKET), plus
+a boundary part from n^-a on: O(a) work and no numpy.  What it leaves out is below 2^-54 relative there by a measured
 envelope, and it agrees with the float route to 1.2e-16 relative at N0(a), 10^5 and 10^6,
 and at 10^7 for a = 1.  The float route stays the
 expansion's oracle (asymptotics.remainder_diagnostic calls it through _odd_float_route)

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 import tracemalloc
@@ -10,7 +11,7 @@ import pytest
 from scipy import integrate
 
 from anchor_moments import _expansion, _float_route
-from anchor_moments._expansion import ENVELOPE, c1, c2, c3, c4, expansion_value, leading_constant
+from anchor_moments._expansion import ENVELOPE, expansion_value, leading_constant
 from anchor_moments._float_route import (
     _ANCHOR_EVERY,
     _CHAIN_MIN_VAR,
@@ -514,33 +515,96 @@ def test_expansion_matches_the_float_route_on_the_overlap(a):
         assert abs(got - want) <= 2**-52 * want, (n, got, want)
 
 
-def _polynomial_coefficients(xs: list[int], ys: list[Fraction]) -> list[Fraction]:
-    """Coefficients, lowest power first, of the polynomial through the points (xs, ys)."""
-    out = [Fraction(0)] * len(xs)
-    for j, (xj, yj) in enumerate(zip(xs, ys)):
-        basis, den = [Fraction(1)], 1  # prod over m != j of (x - x_m), lowest power first
-        for xm in xs[:j] + xs[j + 1:]:
-            basis = [up - xm * c for up, c in zip([0] + basis, basis + [0])]  # times (x - xm)
-            den *= xj - xm
-        out = [c + yj * b / den for c, b in zip(out, basis)]
+def _polynomial_coefficients(xs: list, ys: list) -> list[Fraction]:
+    """Coefficients, lowest power first, of the polynomial through the points (xs, ys):
+    Newton's divided differences, then the Newton form multiplied out by Horner's rule."""
+    table = [Fraction(y) for y in ys]
+    for d in range(1, len(xs)):
+        for j in range(len(xs) - 1, d - 1, -1):
+            table[j] = (table[j] - table[j - 1]) / (xs[j] - xs[j - d])
+    out = [table[-1]]
+    for xj, cj in zip(xs[-2::-1], table[-2::-1]):  # out (x - xj) + cj
+        out = [up - xj * c for up, c in zip([0] + out, out + [0])]
+        out[0] += cj
     return out
 
 
-def test_expansion_coefficients_match_the_even_closed_form():
-    # for even a, n^(a-1) S(n, a) is a polynomial in n of degree a/2, whose n^(a/2-k)
-    # coefficient is C(a) times the bracket's n^-k one: 1, -c1, c2, c3, c4.  Read off exactly,
-    # through a/2 + 2 points (one more than the degree needs).  At a = 2, 4 and 6 the bracket
-    # ends at its n^-(a/2) term, as B_a n^-a has the power of the next one: a = 2 differs
-    # from the n^-2 coefficient on, a = 4 from n^-3 on, and a = 6 at n^-4
-    for a in range(2, 41, 2):
+def _value(coefficients: list, x) -> Fraction:
+    """The polynomial with these coefficients, lowest power first, at x."""
+    return sum(c * x**j for j, c in enumerate(coefficients))
+
+
+_BRACKET_ROWS = 10  # rows the boundary fit subtracts; _expansion._BRACKET holds the first four
+
+
+@functools.lru_cache(maxsize=None)
+def _bracket_rows() -> tuple[list[list[Fraction]], dict[int, list[Fraction]]]:
+    """b_1..b_10 as polynomials in a (coefficients, lowest power first), and for each even a
+    up to 60 the bracket 1, b_1(a), ..., b_(a/2)(a) read off the even closed form.
+
+    For even a, n^(a-1) S(n, a) is a polynomial in n of degree a/2 whose n^(a/2-k)
+    coefficient is C(a) b_k(a): exact through a/2 + 2 points, one more than the degree needs.
+    Row k is the polynomial through the even orders a = 2k, 2k+2, ..., 6k.  Orders below 2k
+    cannot give b_k: there the closed form ends at n^-(a/2), before its n^-k term.
+    """
+    even = {}
+    for a in range(2, 6 * _BRACKET_ROWS + 1, 2):
         xs = list(range(1, a // 2 + 3))
         ys = [Fraction(n) ** (a - 1) * signed_moment_total(MomentQuery(n, a)) for n in xs]
         coefficients = _polynomial_coefficients(xs, ys)
         assert coefficients[-1] == 0, a
-        got = [c / leading_constant(a).rational for c in coefficients[a // 2::-1]] + [0] * 4
-        want = [1, -c1(a), c2(a), c3(a), c4(a)]
-        for k in range(5):
-            assert (got[k] == want[k]) == (k <= a // 2), (a, k)
+        even[a] = [c / leading_constant(a).rational for c in coefficients[a // 2::-1]]
+    rows = []
+    for k in range(1, _BRACKET_ROWS + 1):
+        orders = list(range(2 * k, 6 * k + 1, 2))
+        rows.append(_polynomial_coefficients(orders, [even[a][k] for a in orders]))
+    return rows, even
+
+
+def test_bracket_table_is_the_even_closed_form():
+    # _BRACKET, (common denominator, integer coefficients) per row, is regenerated exactly
+    rows, even = _bracket_rows()
+    table = []
+    for row in rows[:len(_expansion._BRACKET)]:
+        den = math.lcm(*(c.denominator for c in row))
+        table.append((den, tuple(int(c * den) for c in row)))
+    literal = "".join(f"    {row},\n" for row in table)
+    assert tuple(table) == _expansion._BRACKET, f"_BRACKET = (\n{literal})"
+    # each row, a polynomial of degree 2k through 2k + 1 orders, holds at every further one
+    for k, row in enumerate(rows, 1):
+        for a in range(6 * k + 2, max(even) + 1, 2):
+            assert _value(row, a) == even[a][k], (k, a)
+    # the first row left out, |b_5(a)| n^-5, is within each envelope K n^-p from n = 400 on
+    for a, (bound, p) in ENVELOPE.items():
+        assert _value(rows[4], a) ** 2 <= bound**2 * Fraction(400) ** int(10 - 2 * p), a
+
+
+# pi to 100 digits, for the boundary fit's 60-digit decimals
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510"
+              "58209749445923078164062862089986280348253421170679")
+
+
+def test_boundary_constants_fit_exact_totals():
+    # n^a (S - C(a) n^(1-a/2) [1 + sum_(k<=10) b_k n^-k]) is the boundary part times n^a,
+    # sum_j B_(a,j) n^-j; its polynomial in 1/n through six exact totals gives each B_(a,j)
+    # (measured: 11/540 to 2.6e-19, 1/315 to 5.5e-15, -193/90720 to 2.3e-18, 773/1632960 to 4e-18)
+    rows, _ = _bracket_rows()
+    grid = range(300, 801, 100)
+    boundary = _expansion._BOUNDARY
+    # n outside, so that the orders at one n share its binomial tails
+    totals = {(n, a): total_moment_exact(MomentQuery(n, a)).total for n in grid for a in boundary}
+    for a, constants in boundary.items():
+        r = leading_constant(a).rational
+        bracket = [1] + [_value(row, a) for row in rows]
+        ys = []
+        for n in grid:
+            scaled = r * _value(bracket, Fraction(1, n)) / Fraction(n) ** ((a - 1) // 2)
+            with localcontext(Context(prec=60)):
+                lead = (2 * _PI * n).sqrt() * Decimal(scaled.numerator) / scaled.denominator
+            ys.append((totals[n, a] - Fraction(lead)) * n**a)
+        fit = _polynomial_coefficients([Fraction(1, n) for n in grid], ys)
+        for j, b in enumerate(constants):
+            assert abs(b / fit[j] - 1) <= Fraction(1, 10**12), (a, j, float(fit[j]))
 
 
 def test_expansion_refuses_totals_outside_the_normal_floats():
