@@ -19,9 +19,9 @@ from fractions import Fraction
 from ._expansion import leading_constant
 from .combinatorics import finite_difference
 from .moments import (_FLOAT_N_GUARD, EXACT_N_GUARD, MomentQuery, _moment_denominator,
-                      _odd_float_route, _scaled_left_moment, _size_guard, _tail_terms,
-                      signed_moment_total, total_moment_float)
-from .special_functions import HalfIntValue, beta_exact
+                      _odd_float_route, _scaled_left_moment, _size_guard, signed_moment_total,
+                      total_moment_float)
+from .special_functions import HalfIntValue, _beta_tail, beta_exact
 
 __all__ = [
     "AsymptoticReport",
@@ -100,8 +100,7 @@ def vanishing_tail_correction_sum(n: int, a: int) -> Fraction:
     A_i = E(t_i - X_i)^a, and the weighted integral is I(t_i; i, n-i+1).  In
     integers, E(t_i - X_i)^a = m_i / ((2n)^a (n+1)^rising(a)) by the Pearson
     recurrence scaled by l_k = L_k (2n)^k (n+1)^rising(k), and the binomial tail
-    I(t_i; i, n-i+1) = P(Bin(n, t_i) >= i) = S_i / (2n)^n, the exact route's
-    (moments._tail_terms, so both share it at one n).  So the sum is
+    I(t_i; i, n-i+1) = P(Bin(n, t_i) >= i) = S_i / (2n)^n.  So the sum is
     sum_i m_i S_i / ((2n)^(n+a) (n+1)^rising(a)), exact, reduced once.  Since
     m_(n+1-i) = -m_i and S_(n+1-i) = (2n)^n - S_i, each pair gives
     m_i (2 S_i - (2n)^n), summed over i > n/2 (the middle of odd n has m_i = 0).
@@ -113,8 +112,9 @@ def vanishing_tail_correction_sum(n: int, a: int) -> Fraction:
         raise ValueError("a must be an odd natural number")
     _size_guard(n, EXACT_N_GUARD, "tail-correction sum is exact-path only (n <= {limit}, got {n})")
     scale = (2 * n) ** n
-    total = sum(_scaled_left_moment(n, a, i, 0, 1) * (2 * _tail_terms(n, i)[1] - scale)
-                for i in range(n // 2 + 1, n + 1))  # m_i (2 S_i - (2n)^n)
+    total = sum(_scaled_left_moment(n, a, i, 0, 1)
+                * (2 * _beta_tail(2 * i - 1, 2 * n, i, n - i + 1) - scale)  # 2 S_i - (2n)^n
+                for i in range(n // 2 + 1, n + 1))
     return Fraction(total, scale * _moment_denominator(n, a))
 
 

@@ -11,7 +11,7 @@ import pytest
 from scipy import integrate
 
 from anchor_moments import _expansion, _float_route
-from anchor_moments._expansion import ENVELOPE, expansion_value, leading_constant
+from anchor_moments._expansion import ENVELOPE, _horner, expansion_value, leading_constant
 from anchor_moments._float_route import (
     _ANCHOR_EVERY,
     _CHAIN_MIN_VAR,
@@ -529,11 +529,6 @@ def _polynomial_coefficients(xs: list, ys: list) -> list[Fraction]:
     return out
 
 
-def _value(coefficients: list, x) -> Fraction:
-    """The polynomial with these coefficients, lowest power first, at x."""
-    return sum(c * x**j for j, c in enumerate(coefficients))
-
-
 _BRACKET_ROWS = 10  # rows the boundary fit subtracts; _expansion._BRACKET holds the first four
 
 
@@ -554,6 +549,7 @@ def _bracket_rows() -> tuple[list[list[Fraction]], dict[int, list[Fraction]]]:
         coefficients = _polynomial_coefficients(xs, ys)
         assert coefficients[-1] == 0, a
         even[a] = [c / leading_constant(a).rational for c in coefficients[a // 2::-1]]
+        assert even[a][0] == 1, a  # the leading term is C(a) n^(1-a/2)
     rows = []
     for k in range(1, _BRACKET_ROWS + 1):
         orders = list(range(2 * k, 6 * k + 1, 2))
@@ -573,10 +569,10 @@ def test_bracket_table_is_the_even_closed_form():
     # each row, a polynomial of degree 2k through 2k + 1 orders, holds at every further one
     for k, row in enumerate(rows, 1):
         for a in range(6 * k + 2, max(even) + 1, 2):
-            assert _value(row, a) == even[a][k], (k, a)
+            assert _horner(row, a) == even[a][k], (k, a)
     # the first row left out, |b_5(a)| n^-5, is within each envelope K n^-p from n = 400 on
     for a, (bound, p) in ENVELOPE.items():
-        assert _value(rows[4], a) ** 2 <= bound**2 * Fraction(400) ** int(10 - 2 * p), a
+        assert _horner(rows[4], a) ** 2 <= bound**2 * Fraction(400) ** int(10 - 2 * p), a
 
 
 # pi to 100 digits, for the boundary fit's 60-digit decimals
@@ -595,10 +591,10 @@ def test_boundary_constants_fit_exact_totals():
     totals = {(n, a): total_moment_exact(MomentQuery(n, a)).total for n in grid for a in boundary}
     for a, constants in boundary.items():
         r = leading_constant(a).rational
-        bracket = [1] + [_value(row, a) for row in rows]
+        bracket = [1] + [_horner(row, a) for row in rows]
         ys = []
         for n in grid:
-            scaled = r * _value(bracket, Fraction(1, n)) / Fraction(n) ** ((a - 1) // 2)
+            scaled = r * _horner(bracket, Fraction(1, n)) / Fraction(n) ** ((a - 1) // 2)
             with localcontext(Context(prec=60)):
                 lead = (2 * _PI * n).sqrt() * Decimal(scaled.numerator) / scaled.denominator
             ys.append((totals[n, a] - Fraction(lead)) * n**a)
