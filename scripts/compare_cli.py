@@ -51,7 +51,7 @@ COMMANDS = (
     # size guard: exit 3
     "exact --n 2001 --a 1",
     "exact --n 2001 --a 2 --per-sensor",
-    "asymptotic --theorem 2 --a 1 --grid 100,100000000",
+    "asymptotic --theorem 2 --a 15 --grid 100,20001",
     "lemma --id 4 --c 0 --n 100000000",
     # usage errors: exit 2
     "exact --n 0 --a 1",

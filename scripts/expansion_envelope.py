@@ -5,25 +5,23 @@ For each odd order a and each n of the grid, the table gives the relative residu
 r = S/E - 1 of the exact total S against the four-term expansion E
 (anchor_moments._expansion: the bracket rows b_1..b_4 of _BRACKET and the exact boundary
 constants of _BOUNDARY, to 40 digits), and r n^p, where n^-p is the relative power of the
-first omitted term, taken from _expansion.ENVELOPE (for a = 9, the bracket's next row,
-b_5(9) n^-5).  Below the table: the coefficient r n^p at the largest n and the N0 it implies
-(the smallest n with |r n^p| n^-p <= 2^-54); for a = 7 and 9, the N0 implied by the stated
-bound |B_a| <= a! (the smallest n with a!/C(a) n^-(a/2+1) <= 2^-56); the committed envelope
-K and N0 (_expansion.ENVELOPE, moments._EXPANSION_N0); and whether |r| <= K n^-p held on
-every row from n = 400 on.
+first omitted term, taken from _expansion.ENVELOPE.  Below the table: the coefficient r n^p
+at the largest n and the N0 it implies (the smallest n with |r n^p| n^-p <= 2^-54); the
+committed envelope K and N0 (_expansion.ENVELOPE, moments._EXPANSION_N0); and whether
+|r| <= K n^-p held on every row from n = 400 on.
 
-    python3 scripts/expansion_envelope.py [--orders 1,3,5,7,9] [--grid 100,200,400,800,1600]
+    python3 scripts/expansion_envelope.py [--orders 1,3,5,7,9,11,13]
+                                          [--grid 100,200,400,800,1600,2000]
 
-The default grid takes about 5 s on a 2-core machine: an exact odd total costs about n^2.9,
-and the orders at one n share its binomial tails.
+The default grid takes about 16 s on a 2-core machine: an exact odd total costs about
+n^2.9, and the orders at one n share its binomial tails.
 """
 
 import argparse
-import math
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
-from anchor_moments._expansion import ENVELOPE, expansion_value, leading_constant
+from anchor_moments._expansion import ENVELOPE, expansion_value
 from anchor_moments.moments import _EXPANSION_N0, MomentQuery, total_moment_exact
 
 
@@ -38,8 +36,9 @@ def smallest_n(bound: Fraction, power: int) -> int:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--orders", default="1,3,5,7,9", help="comma-separated odd orders <= 9")
-    parser.add_argument("--grid", default="100,200,400,800,1600",
+    parser.add_argument("--orders", default="1,3,5,7,9,11,13",
+                        help="comma-separated odd orders <= 13")
+    parser.add_argument("--grid", default="100,200,400,800,1600,2000",
                         help="comma-separated n, at most 2000 (exact totals)")
     args = parser.parse_args()
     grid = [int(x) for x in args.grid.split(",")]
@@ -61,9 +60,6 @@ def main() -> None:
             print(f"  {n:>6}  {float(r):>14.6e}  {float(scaled):>11.7f}")
         n0 = smallest_n((Fraction(scaled) * 2**54) ** 2, int(2 * p))  # |r| <= 2^-54
         print(f"  fitted coefficient at n = {grid[-1]}: {float(scaled):.6f}, implies N0 = {n0}")
-        if a in (7, 9):  # (a! / C(a))^2 n^-(a+2) <= 2^-112, C(a)^2 = r^2 2 pi
-            bound = (math.factorial(a) / leading_constant(a).rational) ** 2 * 2**111
-            print(f"  |B_{a}| <= {a}! implies N0 = {smallest_n(bound / Fraction(math.pi), a + 2)}")
         print(f"  committed envelope K = {float(k)}, N0 = {_EXPANSION_N0[a]}; "
               f"|r| <= K n^-p from n = 400 on: {'yes' if holds else 'no'}")
         print()

@@ -15,7 +15,7 @@ tests/test_moments.py: test_bracket_table_is_the_even_closed_form regenerates _B
 from signed_moment_total, and test_boundary_constants_fit_exact_totals fits _BOUNDARY to
 exact odd totals.
 
-ENVELOPE bounds what is left out, relative to the total.  moments serves odd a <= 9 from
+ENVELOPE bounds what is left out, relative to the total.  moments serves odd a <= 13 from
 the expansion where that bound is below 2^-54, and scripts/expansion_envelope.py measures
 it again from exact totals.
 """
@@ -29,23 +29,24 @@ from fractions import Fraction
 from .special_functions import HalfIntValue, gamma_half_int
 
 # Relative size of what the expansion leaves out: at most K n^-p, as (K, p).  The first
-# omitted term is the boundary layer's next one for a = 1, 3 and 5 (relative n^-7/2, n^-7/2
-# and n^-9/2), B_7 n^-7 for a = 7 (n^-9/2), and the bracket's next row for a = 9,
-# b_5(9)/n^5 = -29326849/1379524608 n^-5 = -0.0212587 n^-5.  Measured as r n^p, r the
-# relative residual against exact totals at n = 100..2000 (scripts/expansion_envelope.py):
-# for a = 1 and 5 it rises in size like k + k' n^-1/2 towards k = 0.000751 and 0.00107; for
-# a = 3, 7 and 9 it falls in size towards k = -0.00417, -0.00041 and b_5(9), from -0.00419,
-# -0.000476 and -0.0215 at n = 400.  Each K bounds |r| n^p from n = 400 on, |k| included.
-ENVELOPE = {1: (Fraction("0.00076"), Fraction(7, 2)), 3: (Fraction("0.0042"), Fraction(7, 2)),
+# omitted term is the boundary layer's next one for a = 1, 3, 5 and 7 (B_(1,3) n^-4,
+# B_(3,2) n^-5, B_(5,1) n^-6 and B_(7,0) n^-7, each n^-9/2 relative), and the bracket's next
+# row, b_5(a) n^-5, for a = 9, 11 and 13 (b_5 = -0.02126, -1.032 and -9.903).  Measured as
+# r n^p, r the relative residual against exact totals at n = 100..2000
+# (scripts/expansion_envelope.py): for a = 1, 3 and 5 it rises in size towards
+# k = B/C(a) = -0.00107, -0.00155 and 0.00107; for a = 7, 9, 11 and 13 it falls in size
+# towards B_(7,0)/C(7) = -0.00041 and b_5(a), from -0.000477, -0.0215, -1.046 and -10.07 at
+# n = 400.  Each K bounds |r| n^p from n = 400 on, |k| included.
+ENVELOPE = {1: (Fraction("0.0011"), Fraction(9, 2)), 3: (Fraction("0.0016"), Fraction(9, 2)),
             5: (Fraction("0.0011"), Fraction(9, 2)), 7: (Fraction("0.00048"), Fraction(9, 2)),
-            9: (Fraction("0.022"), Fraction(5))}
+            9: (Fraction("0.022"), Fraction(5)), 11: (Fraction("1.1"), Fraction(5)),
+            13: (Fraction(11), Fraction(5))}
 
-# The boundary part, sum_j B_(a,j) n^-(a+j).  B_7 and B_9 are left out.  Stated bound, not
-# proved: |B_a| <= a!, which B_1, B_3 and B_5 meet by factors of 49, 2800 and 250000, and B_7,
-# near -5e-5 by ENVELOPE's fit, by 10^8.  It is (B_a/C(a)) n^-(a/2+1) relative, so moments
-# takes the expansion for a = 7 and 9 only where that bound is below 2^-56.
-_BOUNDARY = {1: (Fraction(11, 540), Fraction(1, 315)), 3: (Fraction(-193, 90720),),
-             5: (Fraction(773, 1632960),)}
+# The boundary part, sum_j B_(a,j) n^-(a+j), as far as each N0(a) needs it.  The terms left
+# out (B_(a,0) for a >= 7, and the next B_(a,j) for a = 1, 3 and 5) are inside ENVELOPE
+# from moments._EXPANSION_N0[a] on, by their fit to exact totals.
+_BOUNDARY = {1: (Fraction(11, 540), Fraction(1, 315), Fraction(2, 8505)),
+             3: (Fraction(-193, 90720), Fraction(-167, 340200)), 5: (Fraction(773, 1632960),)}
 
 # b_1..b_4, row k as (common denominator, coefficients of a^0, a^1, ...).  Rows from 5 on
 # change no served total until ENVELOPE and moments._EXPANSION_N0 are measured against them.
@@ -84,7 +85,7 @@ def _constants(a: int) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fraction, 
 
 
 def expansion_value(n: int, a: int) -> Decimal:
-    """The expansion at odd a <= 9, to 40 digits, in O(a) work.
+    """The expansion at odd a <= 13, to 40 digits, in O(a) work.
 
     C(a) n^(1-a/2) = r sqrt(2 pi n) / n^((a-1)/2) with r rational (leading_constant), so
     everything but sqrt(2 pi n) is one exact Fraction; that root and the sum are formed in

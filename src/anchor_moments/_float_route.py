@@ -1,15 +1,14 @@
 """Float route of moments.py for odd orders, on numpy arrays.  moments.total_moment_float
 at odd a, lemma 4's sum and the float-Beta check load it on first call, so the exact route
 and the CLI start without numpy.  moments owns the route's size limit.  This module alone
-knows how floats are summed exactly (exact_sum) and how the sensors are walked in passes.
+knows how floats are summed exactly (exact_sum).
 
-The densities f_i(t_i) and tails L_0 = I(t_i; i, n-i+1) of a pass do not depend on the
-order, so a sweep over orders at one n forms them once: _pass_terms, an lru_cache of four
-passes keyed on (n, lo, hi, carry), holds them read-only, at most 4 x 2 x 2^14 doubles
-(1 MiB).  Past four passes (n > 131072) a sweep misses on every pass.  After
-odd_total(10**7, 1) the cache keeps 0.8 MiB, and the call peaks at 4.1 MiB under tracemalloc
-(2.9 MiB without the cache).  At n = 2000 the first odd order takes about 1.4 ms and each
-next one 0.1-0.2 ms on a 2-core machine."""
+An odd total is one pass over the computed sensors.  Their densities f_i(t_i) and tails
+L_0 = I(t_i; i, n-i+1) do not depend on the order, so a sweep over orders at one n forms
+them once: _pass_terms, an lru_cache of four n, holds them read-only, at most 4 x 2 x 10^4
+doubles (0.6 MiB) up to n = 2 x 10^4.  There the first odd order takes about 75 ms and peaks
+at 21 MiB under tracemalloc, each next order 0.5 ms; at n = 2000 they take about 2.6 ms and
+0.15 ms on a 2-core machine."""
 
 from __future__ import annotations
 
@@ -17,11 +16,10 @@ import functools
 import math
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 
-_CHUNK = 2**14  # a multiple of _ANCHOR_EVERY, so a pass starts on a chain anchor with its carry
+_CHUNK = 2**14  # values per pass of exact_sum, sensors per pass of anchor_sum
 
 
 def exact_sum(x: np.ndarray) -> Fraction:
@@ -116,45 +114,21 @@ def _left_moment(n: int, a: int, tq, h, g, start):
     return cur
 
 
-# the chain rounds its exact sum at every _ANCHOR_EVERY-th sensor; the top sums take over
-# where n t(1-t) < _CHAIN_MIN_VAR: see _left_tail_start; _TOP_WIDTH_STEP: see _top_tail
-_ANCHOR_EVERY, _CHAIN_MIN_VAR, _TOP_WIDTH_STEP = 128, 400.0, 16
-_STEP_RULE = [(0.5 + s * math.sqrt(3 / 7 + c * 2 / 7 * math.sqrt(6 / 5)) / 2,  # Gauss-Legendre
-               (18 - c * math.sqrt(30)) / 72) for c in (-1, 1) for s in (-1, 1)]  # on [0, 1]
-
-
-def _tail_step(n: int, i: np.ndarray, dens: np.ndarray) -> np.ndarray:
-    """T_(i+1) - T_i, T_i = I(t_i; i, n-i+1) = P(Bin(n, t_i) >= i), dens = f_i(t_i): the integral
-    of f_i from t_i to t_(i+1) = t_i + 1/n, less pmf_i(t_(i+1)) = (2i+1)/(2i) f_i(t_(i+1)) / n,
-    with f_i(t_i + x/n) = f_i(t_i) e^phi(x), phi(x) = (i-1) log1p(2x/P) + (n-i) log1p(-2x/Q)."""
-    below, above = i - 1, n - i
-    half_p, half_q = i - 0.5, n - i + 0.5  # P/2, Q/2
-
-    def phi(x: float) -> np.ndarray:
-        return below * np.log1p(x / half_p) + above * np.log1p(-x / half_q)
-    quad = sum(w * np.expm1(phi(x)) for x, w in _STEP_RULE)
-    return dens / n * (quad - (2 * i + 1) / (2 * i) * np.expm1(phi(1.0)) - 1 / (2 * i))
-
-
-def _units(x: np.ndarray) -> list[int]:
-    """Each value of a float array as an exact integer multiple of 2^-1126 (see exact_sum)."""
-    m, e = np.frexp(x)
-    return [mant << shift for mant, shift in
-            zip(np.ldexp(m, 53).astype(np.int64).tolist(), (e + 1073).tolist())]
+_TOP_WIDTH_STEP = 16  # see _top_tail
 
 
 def _top_tail(n: int, i: np.ndarray, q: np.ndarray, dens: np.ndarray) -> np.ndarray:
-    """P(Bin(n, t_i) >= i), q = 1 - t, where n t(1-t) = s^2 < _CHAIN_MIN_VAR, as the positive sum
-    of the pmf from k = i: pmf(i) = dens t / i, then pmf(k+1) = pmf(k) (n-k) t / ((k+1) q).  The
-    terms stop at k = n; i exceeds the mean n t by 1/2, so by Bernstein's inequality the terms past
-    ceil(10 s) + 3 of them add less than 1e-17.  Each sensor takes that many ratios, or n - i
-    if fewer, rounded up to a multiple of _TOP_WIDTH_STEP so that few array widths occur, and
-    no more than the count for s^2 = min(_CHAIN_MIN_VAR, n/4).  The count depends on n and i
-    alone, so the bits do not depend on how the sensors are split into passes."""
+    """L_0 = T_i = I(t_i; i, n-i+1) = P(Bin(n, t_i) >= i), q = 1 - t, as the positive sum of
+    the pmf from k = i: pmf(i) = dens t / i, then pmf(k+1) = pmf(k) (n-k) t / ((k+1) q).  The
+    terms stop at k = n; i exceeds the mean n t by 1/2, so by Bernstein's inequality, with
+    s^2 = n t(1-t), the terms past ceil(10 s) + 3 of them add less than 1e-17.  Each sensor
+    takes that many ratios, or n - i if fewer, rounded up to a multiple of _TOP_WIDTH_STEP so
+    that few array widths occur, and no more than the count for the largest s^2, n/4.  The
+    count depends on n and i alone."""
     t = (2.0 * i - 1.0) / (2 * n)
     count = np.minimum(np.ceil(10 * np.sqrt(n * t * q)) + 2, n - i)
     width = np.minimum(np.ceil(count / _TOP_WIDTH_STEP) * _TOP_WIDTH_STEP,
-                       math.ceil(10 * math.sqrt(min(_CHAIN_MIN_VAR, n / 4))) + 2).astype(np.int64)
+                       math.ceil(10 * math.sqrt(n / 4)) + 2).astype(np.int64)
     sums = np.empty_like(i)
     starts = np.flatnonzero(np.diff(width, prepend=-1)).tolist()  # runs of one width
     for lo, hi in zip(starts, starts[1:] + [len(i)]):
@@ -164,84 +138,37 @@ def _top_tail(n: int, i: np.ndarray, q: np.ndarray, dens: np.ndarray) -> np.ndar
     return dens * t / i * (1.0 + sums)
 
 
-def _left_tail_start(n: int, i: np.ndarray, q: np.ndarray, dens: np.ndarray,
-                     carry: int | None = None) -> tuple[np.ndarray, int | None]:
-    """L_0 = T_i = I(t_i; i, n-i+1) for a run of computed sensors, q = 1 - t, and the carry.
-
-    Where n t(1-t) = (i-1/2)(n-i+1/2)/n, which falls in i on this half, is at least
-    _CHAIN_MIN_VAR, T is chained up from the middle sensor, where the reflection
-    T_(n+1-i) = 1 - T_i gives it exactly: 1/2 for odd n, and (1 + step_(n/2)) / 2 at n/2+1
-    for even n, whose density is the one at n/2.  Each _ANCHOR_EVERY-th sensor, an anchor, is
-    the exactly rounded sum of that value and the _tail_step values below it; the sensors
-    between add their own steps to their anchor.  `carry` holds the exact sum, in units of
-    2^-1126, from one pass to the next: a pass above the middle starts on an anchor, with the
-    carry of the pass below (None: i[0] is the middle sensor).  The top sensors take _top_tail.
-    """
-    m, k = int(np.count_nonzero((i - 0.5) * (n - i + 0.5) >= n * _CHAIN_MIN_VAR)), _ANCHOR_EVERY
-    start = np.empty_like(i)
-    start[m:] = _top_tail(n, i[m:], q[m:], dens[m:])
-    if m:
-        if carry is None:  # i[0] is the middle sensor; a step's units are even, so halving is exact
-            mid = 0 if n % 2 else _units(_tail_step(n, i[:1] - 1, dens[:1]))[0]
-            carry = (1 << 1126) + mid >> 1
-        step = np.zeros((-(-m // k), k))  # step[r, j] = T_(s+1) - T_s at sensor s = i[r k + j]
-        step.ravel()[:m] = _tail_step(n, i[:m], dens[:m])
-        anchors = []
-        for block in _units(step.sum(axis=1)):
-            anchors.append(carry / (1 << 1126))  # int / int rounds correctly
-            carry += block
-        below = np.zeros_like(step)  # T less T at the block's anchor
-        np.cumsum(step[:, :-1], axis=1, out=below[:, 1:])
-        start[:m] = (np.array(anchors)[:, None] + below).ravel()[:m]
-    return start, carry
-
-
 @functools.lru_cache(maxsize=4)
-def _pass_terms(n: int, lo: int, hi: int,
-                carry: int | None) -> tuple[np.ndarray, np.ndarray, int | None]:
-    """The part of the pass over sensors lo..hi-1 that no order changes: the densities
-    f_i(t_i), L_0 = T_i and the carry out (_left_tail_start), both arrays read-only.  A
-    function of its arguments alone, so the next order at the same n reuses it."""
-    i, _, one_minus_t = _anchor_terms(n, lo, hi)
+def _pass_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The part of the pass over the computed sensors i > n/2 that no order changes: the
+    densities f_i(t_i) and L_0 (_top_tail), both read-only.  A function of n alone, so the
+    next order at the same n reuses it."""
+    i, _, one_minus_t = _anchor_terms(n, n // 2 + 1, n + 1)
     dens = beta_density_at_anchor(n, i)
-    start, carry = _left_tail_start(n, i, one_minus_t, dens, carry)
+    start = _top_tail(n, i, one_minus_t, dens)
     dens.setflags(write=False)
     start.setflags(write=False)
-    return dens, start, carry
+    return dens, start
 
 
-def _passes(n: int, a: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """For odd a, the computed sensors i > n/2 in passes of at most _CHUNK: for each pass,
-    its first sensor, E(t-X)^a and L_a = E[(t-X)^a; X < t].
-
-    A sensor's total is 2 L_a - E(t-X)^a.  L_0 comes from _left_tail_start, whose carry
-    joins the passes; _pass_terms keeps it with the densities for the next order.  Each
-    value is formed elementwise and each pass starts on a chain anchor, so the bits do not
-    depend on _CHUNK.  The middle sensor of odd n leads the first pass.  Even orders take
+def _computed_half(n: int, a: int) -> tuple[np.ndarray, np.ndarray]:
+    """For odd a, E(t-X)^a and L_a = E[(t-X)^a; X < t] at the computed sensors i > n/2, the
+    middle sensor of odd n first.  A sensor's total is 2 L_a - E(t-X)^a.  Even orders take
     the closed form, moments.signed_moment_total.
     """
-    carry = None
-    for lo in range(n // 2 + 1, n + 1, _CHUNK):
-        hi = min(lo + _CHUNK, n + 1)
-        i, t, one_minus_t = _anchor_terms(n, lo, hi)
-        h = (2.0 * i - 1.0 - n) / (2 * n)  # t - 1/2
-        tq = t * one_minus_t
-        full = _left_moment(n, a, tq, h, 0.0, 1.0)
-        dens, start, carry = _pass_terms(n, lo, hi, carry)
-        yield lo, full, _left_moment(n, a, tq, h, tq * dens, start)
+    i, t, one_minus_t = _anchor_terms(n, n // 2 + 1, n + 1)
+    h = (2.0 * i - 1.0 - n) / (2 * n)  # t - 1/2
+    tq = t * one_minus_t
+    dens, start = _pass_terms(n)
+    return _left_moment(n, a, tq, h, 0.0, 1.0), _left_moment(n, a, tq, h, tq * dens, start)
 
 
 def odd_total(n: int, a: int) -> float:
     """Float total of the expected cost for odd a.
 
     By reflection E_i = E_(n+1-i), so the total is twice the exact sum of the computed
-    half (_passes) less the middle sensor of odd n, rounded once; no per-sensor array
-    outlives its pass.
+    half (_computed_half) less the middle sensor of odd n, rounded once.
     """
-    total = Fraction(0)
-    for lo, full, left in _passes(n, a):
-        e_total = 2.0 * left - full
-        total += 2 * exact_sum(e_total)
-        if lo == n // 2 + 1:  # the middle sensor, counted once
-            total -= exact_sum(e_total[: n % 2])
-    return float(total)
+    full, left = _computed_half(n, a)
+    e_total = 2.0 * left - full
+    return float(2 * exact_sum(e_total) - exact_sum(e_total[: n % 2]))

@@ -18,9 +18,8 @@ from fractions import Fraction
 
 from ._expansion import leading_constant
 from .combinatorics import finite_difference
-from .moments import (_FLOAT_N_GUARD, EXACT_N_GUARD, MomentQuery, _moment_denominator,
-                      _odd_float_route, _scaled_left_moment, _size_guard, signed_moment_total,
-                      total_moment_float)
+from .moments import (_ANCHOR_SUM_N_GUARD, EXACT_N_GUARD, MomentQuery, _moment_denominator,
+                      _scaled_left_moment, _size_guard, signed_moment_total, total_moment_float)
 from .special_functions import HalfIntValue, _beta_tail, beta_exact
 
 __all__ = [
@@ -127,7 +126,7 @@ def abel_anchor_sum(n: int, c: float) -> float:
     """
     if n < 1:
         raise ValueError("n must lie in [1, 10^7]")
-    _size_guard(n, _FLOAT_N_GUARD, "n must lie in [1, 10^7]")
+    _size_guard(n, _ANCHOR_SUM_N_GUARD, "n must lie in [1, 10^7]")
     if not 0 <= c < math.inf:  # also refuses NaN
         raise ValueError("c must lie in [0, inf)")
     from ._float_route import anchor_sum  # numpy, on first use
@@ -188,9 +187,9 @@ def verify_diagonal_beta_identity(a: int) -> IdentityCheckResult:
 def remainder_diagnostic(a: int, n_grid: list[int] | tuple[int, ...]) -> AsymptoticReport:
     """Measure the total cost on a grid and fit the remainder exponent.
 
-    measured = total cost: the closed form for even a, and for odd a the float route itself
-    (moments._odd_float_route, up to its size limit), never the expansion whose remainder
-    this measures; normalized = measured / n^(1-a/2),
+    measured = total cost by total_moment_float, the route every command uses (the closed
+    form for even a; for odd a the expansion from N0(a) on, else the float route, which
+    refuses n past its size limit); normalized = measured / n^(1-a/2),
     which approaches leading_constant(a).  The fit regresses
     log|measured - C n^(1-a/2)| on log n: the least-squares slope of those
     float points, computed exactly and rounded once.  Points whose residual is
@@ -216,7 +215,7 @@ def remainder_diagnostic(a: int, n_grid: list[int] | tuple[int, ...]) -> Asympto
         if scale < sys.float_info.min:  # a subnormal scale loses digits of normalized
             raise ValueError(f"n^(1-a/2) underflows to {scale:g} at n = {n}, a = {a}")
         q = MomentQuery(n=n, a=a)
-        s = _odd_float_route(q) if q.odd else total_moment_float(q).total
+        s = total_moment_float(q).total
         measured.append(s)
         normalized.append(s / scale)
         residuals.append(s - c_float * scale)

@@ -237,15 +237,10 @@ def check_beta_binomial_form() -> _Pairs:
 
 @_check("beta")
 def check_float_beta_accuracy() -> IdentityCheckResult:
-    # the float route's binomial tail I(t_i; i, n-i+1) at sensors of the computed half.  With
-    # n <= 499 every sensor is a top sensor, whose tail is summed directly, so one suffices;
-    # at n = 1700 the chain up from the middle serves the first 206 of the 850 in one call
+    # the float route's binomial tail I(t_i; i, n-i+1), summed directly, at sensors of the
+    # computed half
     import numpy as np  # on first use: only this check needs numpy here
-    from ._float_route import _left_tail_start, beta_density_at_anchor
-
-    def tails(n: int, i: np.ndarray) -> np.ndarray:
-        q = (2 * (n - i) + 1) / (2 * n)
-        return _left_tail_start(n, i, q, beta_density_at_anchor(n, i))[0]
+    from ._float_route import _top_tail, beta_density_at_anchor
 
     rng = random.Random(_SEED + 4)
     cases = []
@@ -253,11 +248,9 @@ def check_float_beta_accuracy() -> IdentityCheckResult:
         c = rng.randint(1, 250)
         d = rng.randint(1, min(500 - c, 250))
         n = c + d - 1
-        i = max(c, d)  # sensor c, or its mirror image n+1-c = d
-        cases.append((n, i, tails(n, np.array([float(i)]))[0]))
-    n = 1700
-    half = tails(n, np.arange(n // 2 + 1, n + 1, dtype=np.float64))
-    cases += [(n, n // 2 + 1 + j, half[j]) for j in range(0, n // 2, 107)]  # 8, 2 chained
+        i = np.array([float(max(c, d))])  # sensor c, or its mirror image n+1-c = d
+        tail = _top_tail(n, i, (2 * (n - i) + 1) / (2 * n), beta_density_at_anchor(n, i))
+        cases.append((n, int(i[0]), tail[0]))
     worst = 0.0
     for n, i, approx in cases:
         exact = float(incomplete_beta_regularized_exact(Fraction(2 * i - 1, 2 * n), i, n - i + 1))

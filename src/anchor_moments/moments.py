@@ -21,18 +21,18 @@ l_k = L_k (2n)^k (n+1)^rising(k), every step of the recurrence is an integer,
 so all sensors' fields share one denominator: each output value is one reduced
 Fraction, and the total is reduced once.  The float route, in _float_route
 (where numpy loads, on first call), runs it on arrays, from the density and
-I(t_i; i, n-i+1): chained by exact lattice steps from the middle sensor, where
-reflection gives it exactly, and summed from the binomial terms near the top:
-O(n a) work, run-to-run identical, in memory that does not grow with n.
+I(t_i; i, n-i+1), summed directly from the binomial terms: O(n^(3/2)) work in
+one pass, run-to-run identical, up to n = _FLOAT_N_GUARD.
 Measured relative error: at most 2.2e-15 per field of a computed sensor
 against the exact route for n <= 200, a <= 9, and 4e-15 on totals against
-quadrature at n = 2000, 10^5 and 10^6.
+quadrature at n = 2000.
 
 Only the recurrence depends on a.  A computed sensor's S_i and density term
 g = i C(n,i) P^i Q^(n-i+1) are kept in _tail_terms, an lru_cache of 1024 sensors keyed on
-(n, i), so every odd order at one n <= 2000 shares them; the float route keeps its passes'
-densities and tails the same way (_float_route._pass_terms).  After one odd total the cache
-holds 0.25 MiB at n = 400 (200 sensors) and about 6.3 MiB at n = 2000 (1000 sensors).
+(n, i), so every odd order at one n <= 2000 shares them; the float route keeps its
+densities and tails the same way (_float_route._pass_terms, keyed on n).  After one odd
+total the cache holds 0.25 MiB at n = 400 (200 sensors) and about 6.3 MiB at n = 2000
+(1000 sensors).
 
 For even a the total is sum_i E(t_i - X_i)^a, a finite sum of Beta moments, and
 signed_moment_total gives it in closed form, exact at any n in work that depends
@@ -40,14 +40,13 @@ on a alone.  The exact totals and the float totals of even orders use it; the
 per-sensor route above stays its independent check, and the float route serves
 odd orders only.
 
-For odd a <= 9 and n >= _EXPANSION_N0[a] (902 for a = 5 up to 58469 for a = 7), the float
-total is the four-term expansion of _expansion instead,
+For odd a <= 13 and n >= _EXPANSION_N0[a] (750 to 2881), the float total is the
+four-term expansion of _expansion instead,
 C(a) n^(1-a/2) [1 + b_1/n + ... + b_4/n^4] with each b_k a polynomial in a (_BRACKET), plus
-a boundary part from n^-a on: O(a) work and no numpy.  What it leaves out is below 2^-54 relative there by a measured
-envelope, and it agrees with the float route to 1.2e-16 relative at N0(a), 10^5 and 10^6,
-and at 10^7 for a = 1.  The float route stays the
-expansion's oracle (asymptotics.remainder_diagnostic calls it through _odd_float_route)
-and serves odd a >= 11, up to _FLOAT_N_GUARD.
+a boundary part from n^-a on: O(a) work and no numpy.  What it leaves out is below 2^-54
+relative there by an envelope measured against exact totals, and it agrees with the float
+route to one ulp at N0(a), 2 N0(a) and _FLOAT_N_GUARD.  The float route serves the rest:
+n below N0(a), and odd a >= 15 up to _FLOAT_N_GUARD.
 """
 
 from __future__ import annotations
@@ -76,19 +75,20 @@ __all__ = [
 ]
 
 # Every size limit and route choice lives here.  Rational bit length of the per-sensor route
-# grows roughly like n log n; beyond EXACT_N_GUARD, odd totals take the float route, which
-# stops at _FLOAT_N_GUARD.  Even totals (signed_moment_total) have no limit.
+# grows roughly like n log n; beyond EXACT_N_GUARD, odd totals take the float route, whose
+# direct sums stop at _FLOAT_N_GUARD (about 0.1 s).  Lemma 4's sum needs only the densities
+# and stops at _ANCHOR_SUM_N_GUARD.  Even totals (signed_moment_total) have no limit.
 EXACT_N_GUARD = 2000
-_FLOAT_N_GUARD = 10**7
-# Odd a <= 9 take the expansion from n = _EXPANSION_N0[a] on: the smallest n at which
-# _expansion.ENVELOPE, K n^-p, bounds what the expansion leaves out below 2^-54 relative,
-# and at which, for a = 7 and 9, the stated bound |B_a| <= a! puts B_a n^-a below 2^-56
-# relative.  That second bound sets N0 for a = 7 and 9.
-_EXPANSION_N0 = {1: 5_666, 3: 9_235, 5: 902, 7: 58_469, 9: 15_542}
+_FLOAT_N_GUARD = 2 * 10**4
+_ANCHOR_SUM_N_GUARD = 10**7
+# Odd a <= 13 take the expansion from n = _EXPANSION_N0[a] on: the smallest n at which
+# _expansion.ENVELOPE, K n^-p, bounds what the expansion leaves out below 2^-54 relative.
+_EXPANSION_N0 = {1: 902, 3: 980, 5: 902, 7: 750, 9: 832, 11: 1818, 13: 2881}
 
 
 class SizeGuardError(ValueError):
-    """A route refused n past its size limit, EXACT_N_GUARD or _FLOAT_N_GUARD."""
+    """A route refused n past its size limit (EXACT_N_GUARD, _FLOAT_N_GUARD or
+    _ANCHOR_SUM_N_GUARD)."""
 
 
 def _size_guard(n: int, limit: int, message: str) -> None:
@@ -271,17 +271,10 @@ def _exact_total(q: MomentQuery) -> Fraction:
     return total_moment_exact(q).total if q.odd else signed_moment_total(q)
 
 
-def _odd_float_route(q: MomentQuery) -> float:
-    """The float route's odd total, n up to _FLOAT_N_GUARD: the oracle of the expansion."""
-    _size_guard(q.n, _FLOAT_N_GUARD, "float path supports n <= 10^7 for odd a")
-    from ._float_route import odd_total  # numpy, on first use
-    return odd_total(q.n, q.a)
-
-
 def total_moment_float(q: MomentQuery) -> FloatMomentBreakdown:
     """Float total of the expected cost.
 
-    Even a: the correctly rounded signed_moment_total, at any n.  Odd a <= 9 from
+    Even a: the correctly rounded signed_moment_total, at any n.  Odd a <= 13 from
     n = _EXPANSION_N0[a] on: the expansion, in O(a) work, within 2^-54 of the total by its
     envelope; a total that would overflow or be subnormal is refused with ValueError.
     Other odd totals: the float route, n up to _FLOAT_N_GUARD.
@@ -295,5 +288,7 @@ def total_moment_float(q: MomentQuery) -> FloatMomentBreakdown:
             raise ValueError(f"the total at n = {q.n}, a = {q.a} is {total:g}, "
                              "outside the range of normal floats")
     else:
-        total = _odd_float_route(q)
+        _size_guard(q.n, _FLOAT_N_GUARD, "float path supports n <= {limit} for odd a >= 15")
+        from ._float_route import odd_total  # numpy, on first use
+        total = odd_total(q.n, q.a)
     return FloatMomentBreakdown(n=q.n, a=q.a, total=total)

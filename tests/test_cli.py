@@ -140,8 +140,8 @@ def test_exact_per_sensor_size_guard_exits_3_for_even_orders(capsys):
      "exact path guarded at n <= 2000 (got n=2001); use total_moment_float for larger n"),
     (("lemma", "--id", "2", "--a", "1", "--n", "2001"),
      "tail-correction sum is exact-path only (n <= 2000, got 2001)"),
-    (("asymptotic", "--theorem", "2", "--a", "1", "--grid", "100,100000000"),
-     "float path supports n <= 10^7 for odd a"),
+    (("asymptotic", "--theorem", "2", "--a", "15", "--grid", "100,20001"),
+     "float path supports n <= 20000 for odd a >= 15"),
     (("lemma", "--id", "4", "--c", "0", "--n", "100000000"), "n must lie in [1, 10^7]"),
 ])
 def test_every_size_limit_exits_3(capsys, argv, message):
@@ -518,7 +518,7 @@ _EXPANSION_TIMES = """
 import json, sys, time
 from anchor_moments.moments import MomentQuery, total_moment_float
 slowest = 0.0
-for a in (1, 3, 5, 7, 9):
+for a in range(1, 14, 2):
     for n in (10**5, 10**9, 10**12):
         q = MomentQuery(n, a)
         total_moment_float(q)  # warm
@@ -533,7 +533,7 @@ print(json.dumps(["numpy" in sys.modules, slowest]))
 
 
 def test_odd_float_totals_past_n0_load_no_numpy_and_take_under_a_millisecond():
-    # odd a <= 9 at 10^5, 10^9 and 10^12 take the expansion: O(a) exact and decimal steps
+    # odd a <= 13 at 10^5, 10^9 and 10^12 take the expansion: O(a) exact and decimal steps
     numpy_loaded, slowest = _fresh_interpreter(_EXPANSION_TIMES)
     assert not numpy_loaded
     assert slowest < 1e-3
