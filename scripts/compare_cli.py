@@ -46,6 +46,9 @@ COMMANDS = (
     "simulate --n 2001 --a 2 --trials 2000 --seed 1",
     # an odd order past the size guard: no exact column
     "simulate --n 2001 --a 1 --trials 100",
+    # the odd float route past n = 100: a >= 15 up to its limit, and a = 13 below N0(13)
+    "asymptotic --theorem 2 --a 15 --grid 100,2000,20000",
+    "asymptotic --theorem 2 --a 13 --grid 1000,2880",
     # a >= 3: the cost's power by repeated multiplication
     "simulate --n 50 --a 3 --trials 2000 --seed 7",
     # size guard: exit 3

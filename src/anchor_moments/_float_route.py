@@ -3,16 +3,12 @@ at odd a, lemma 4's sum and the float-Beta check load it on first call, so the e
 and the CLI start without numpy.  moments owns the route's size limit.  This module alone
 knows how floats are summed exactly (exact_sum).
 
-An odd total is one pass over the computed sensors.  Their densities f_i(t_i) and tails
-L_0 = I(t_i; i, n-i+1) do not depend on the order, so a sweep over orders at one n forms
-them once: _pass_terms, an lru_cache of four n, holds them read-only, at most 4 x 2 x 10^4
-doubles (0.6 MiB) up to n = 2 x 10^4.  There the first odd order takes about 75 ms and peaks
-at 21 MiB under tracemalloc, each next order 0.5 ms; at n = 2000 they take about 2.6 ms and
-0.15 ms on a 2-core machine."""
+An odd total is one uncached pass over the computed sensors: their densities f_i(t_i), the
+tails L_0 (_top_tail), then the two recurrences.  At the limit, n = 2 x 10^4, it takes about
+60 ms and peaks near 5 MiB under tracemalloc; at n = 2000 about 2 ms, on a 2-core machine."""
 
 from __future__ import annotations
 
-import functools
 import math
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
@@ -115,6 +111,7 @@ def _left_moment(n: int, a: int, tq, h, g, start):
 
 
 _TOP_WIDTH_STEP = 16  # see _top_tail
+_TOP_ROWS = 256  # sensors per block of _top_tail, which bounds its temporaries
 
 
 def _top_tail(n: int, i: np.ndarray, q: np.ndarray, dens: np.ndarray) -> np.ndarray:
@@ -124,31 +121,20 @@ def _top_tail(n: int, i: np.ndarray, q: np.ndarray, dens: np.ndarray) -> np.ndar
     s^2 = n t(1-t), the terms past ceil(10 s) + 3 of them add less than 1e-17.  Each sensor
     takes that many ratios, or n - i if fewer, rounded up to a multiple of _TOP_WIDTH_STEP so
     that few array widths occur, and no more than the count for the largest s^2, n/4.  The
-    count depends on n and i alone."""
+    count depends on n and i alone.  Each run of one width is taken in blocks of at most
+    _TOP_ROWS sensors; rows are independent, so the blocks change no bit."""
     t = (2.0 * i - 1.0) / (2 * n)
     count = np.minimum(np.ceil(10 * np.sqrt(n * t * q)) + 2, n - i)
     width = np.minimum(np.ceil(count / _TOP_WIDTH_STEP) * _TOP_WIDTH_STEP,
                        math.ceil(10 * math.sqrt(n / 4)) + 2).astype(np.int64)
     sums = np.empty_like(i)
-    starts = np.flatnonzero(np.diff(width, prepend=-1)).tolist()  # runs of one width
+    runs = np.flatnonzero(np.diff(width, prepend=-1)).tolist()  # runs of one width
+    starts = sorted(set(runs).union(range(0, len(i), _TOP_ROWS)))
     for lo, hi in zip(starts, starts[1:] + [len(i)]):
         k = np.arange(width[lo])
         ratio = (n - i[lo:hi, None] - k) / (i[lo:hi, None] + k + 1) * (t / q)[lo:hi, None]
         sums[lo:hi] = np.cumprod(ratio, axis=1).sum(axis=1)
     return dens * t / i * (1.0 + sums)
-
-
-@functools.lru_cache(maxsize=4)
-def _pass_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The part of the pass over the computed sensors i > n/2 that no order changes: the
-    densities f_i(t_i) and L_0 (_top_tail), both read-only.  A function of n alone, so the
-    next order at the same n reuses it."""
-    i, _, one_minus_t = _anchor_terms(n, n // 2 + 1, n + 1)
-    dens = beta_density_at_anchor(n, i)
-    start = _top_tail(n, i, one_minus_t, dens)
-    dens.setflags(write=False)
-    start.setflags(write=False)
-    return dens, start
 
 
 def _computed_half(n: int, a: int) -> tuple[np.ndarray, np.ndarray]:
@@ -157,9 +143,10 @@ def _computed_half(n: int, a: int) -> tuple[np.ndarray, np.ndarray]:
     the closed form, moments.signed_moment_total.
     """
     i, t, one_minus_t = _anchor_terms(n, n // 2 + 1, n + 1)
+    dens = beta_density_at_anchor(n, i)
+    start = _top_tail(n, i, one_minus_t, dens)
     h = (2.0 * i - 1.0 - n) / (2 * n)  # t - 1/2
     tq = t * one_minus_t
-    dens, start = _pass_terms(n)
     return _left_moment(n, a, tq, h, 0.0, 1.0), _left_moment(n, a, tq, h, tq * dens, start)
 
 

@@ -35,7 +35,7 @@ __all__ = ["SUITES", "run_suite", "suite_names"]
 
 _SEED = 20260809
 
-_Check = Callable[[], IdentityCheckResult]
+_Check = Callable[[], "IdentityCheckResult | list[IdentityCheckResult]"]
 _Pairs = Iterator[tuple[object, object]]
 
 # suite name -> its checks, in definition order; filled by @_check
@@ -52,6 +52,7 @@ def _check(suite: str, row: str | None = None) -> Callable[[Callable], _Check]:
 
     With a row name the check is exact: it yields (got, want) pairs, and the check
     registered for it passes, with residual 0.0, only if every pair is equal (else 1.0).
+    Without one the check returns its result, or a list of them, itself.
     """
     def register(fn: Callable) -> _Check:
         check = fn
@@ -296,24 +297,21 @@ def check_difference_top_degree() -> _Pairs:
 # --- technical2b suite -----------------------------------------------------
 
 
+@_check("technical2b")
 def check_diagonal_beta_identities() -> list[IdentityCheckResult]:
     return [verify_diagonal_beta_identity(a) for a in (1, 3, 5, 7)]
 
 
 def suite_names() -> list[str]:
-    return ["all", *SUITES.keys(), "technical2b"]
+    return ["all", *SUITES]
 
 
 def run_suite(name: str) -> list[IdentityCheckResult]:
     """Run one named suite (or 'all'); raises KeyError on unknown names."""
-    if name == "all":
-        results: list[IdentityCheckResult] = []
-        for suite in SUITES.values():
-            results.extend(check() for check in suite)
-        results.extend(check_diagonal_beta_identities())
-        return results
-    if name == "technical2b":
-        return check_diagonal_beta_identities()
-    if name not in SUITES:
-        raise KeyError(name)
-    return [check() for check in SUITES[name]]
+    suites = SUITES.values() if name == "all" else [SUITES[name]]
+    results: list[IdentityCheckResult] = []
+    for suite in suites:
+        for check in suite:
+            got = check()
+            results.extend(got if isinstance(got, list) else [got])
+    return results

@@ -29,10 +29,8 @@ quadrature at n = 2000.
 
 Only the recurrence depends on a.  A computed sensor's S_i and density term
 g = i C(n,i) P^i Q^(n-i+1) are kept in _tail_terms, an lru_cache of 1024 sensors keyed on
-(n, i), so every odd order at one n <= 2000 shares them; the float route keeps its
-densities and tails the same way (_float_route._pass_terms, keyed on n).  After one odd
-total the cache holds 0.25 MiB at n = 400 (200 sensors) and about 6.3 MiB at n = 2000
-(1000 sensors).
+(n, i), so every odd order at one n <= 2000 shares them.  After one odd total the cache
+holds 0.25 MiB at n = 400 (200 sensors) and about 6.3 MiB at n = 2000 (1000 sensors).
 
 For even a the total is sum_i E(t_i - X_i)^a, a finite sum of Beta moments, and
 signed_moment_total gives it in closed form, exact at any n in work that depends

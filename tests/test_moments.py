@@ -396,57 +396,38 @@ def test_float_bits_do_not_depend_on_the_chunk_size(monkeypatch, n, a):
 
 
 def test_float_route_temporaries_stay_small():
-    odd_total(1000, 1)  # warm imports and caches
+    odd_total(1000, 1)  # warm imports
     tracemalloc.start()
     try:
         odd_total(_FLOAT_N_GUARD, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 32 * 2**20
+    assert peak <= 8 * 2**20
 
 
 def test_float_total_keeps_no_per_sensor_array():
-    # after the call only _pass_terms' two read-only arrays over the computed half remain
-    n = _FLOAT_N_GUARD
-    odd_total(1000, 1)  # warm imports and caches
-    _float_route._pass_terms.cache_clear()
+    odd_total(1000, 1)  # warm imports
     tracemalloc.start()
     try:
-        odd_total(n, 1)
+        odd_total(_FLOAT_N_GUARD, 1)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    dens, start = _float_route._pass_terms(n)
-    assert kept <= dens.nbytes + start.nbytes + 2**16
+    assert kept <= 2**16
 
 
 # --- order-independent caches ------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [1999, 2000, _FLOAT_N_GUARD])
-def test_float_sweep_over_orders_keeps_the_bits_of_cold_calls(n):
-    # every order at one n shares the computed half's densities and tails
-    orders = (1, 3, 5, 7, 9, 11)
-    _float_route._pass_terms.cache_clear()
-    warm = [odd_total(n, a).hex() for a in orders]
-    assert _float_route._pass_terms.cache_info().hits == len(orders) - 1
-    for a, want in zip(orders, warm):
-        _float_route._pass_terms.cache_clear()
-        assert odd_total(n, a).hex() == want, a
-
-
-def test_float_pass_terms_are_read_only():
-    dens, start = _float_route._pass_terms(2001)
-    for cached in (dens, start):
-        with pytest.raises(ValueError, match="read-only"):
-            cached[0] = 0.0
-
-
 def test_exact_sweep_over_orders_equals_cold_totals():
+    orders = (1, 3, 5)
     for n in (301, 400):
-        warm = [total_moment_exact(MomentQuery(n, a)) for a in (1, 3, 5)]
-        for a, want in zip((1, 3, 5), warm):
+        _tail_terms.cache_clear()
+        warm = [total_moment_exact(MomentQuery(n, a)) for a in orders]
+        # every computed sensor's terms are formed by the first order and reused by the rest
+        assert _tail_terms.cache_info().hits == (len(orders) - 1) * (n - n // 2), n
+        for a, want in zip(orders, warm):
             _tail_terms.cache_clear()
             assert total_moment_exact(MomentQuery(n, a)) == want, (n, a)
 
@@ -457,9 +438,12 @@ def test_order_independent_caches_are_found_by_a_module_scan():
     found = {id(value) for name, module in list(sys.modules.items())
              if name == "anchor_moments" or name.startswith("anchor_moments.")
              for value in vars(module).values() if callable(getattr(value, "cache_clear", None))}
-    for cache in (_float_route._pass_terms, _tail_terms, _expansion._constants):
+    for cache in (_tail_terms, _expansion._constants):
         assert id(cache) in found, cache.__name__
+    _expansion._constants.cache_clear()
     warm = expansion_value(10**5, 7)
+    expansion_value(2 * 10**5, 7)  # a second total at the same order reuses the constants
+    assert _expansion._constants.cache_info().hits == 1
     _expansion._constants.cache_clear()
     assert expansion_value(10**5, 7) == warm
 
@@ -665,7 +649,9 @@ def test_left_tail_start_matches_binomial_tail_oracle():
     # of the way up, and i = n.  Its rounding grows with the about 700 terms a sensor sums
     # here: measured 5.0e-15 at the middle sensor of n = 20000, 2.9e-15 for n = 19999
     for n in (19_999, _FLOAT_N_GUARD):
-        start = _float_route._pass_terms(n)[1]
+        sensors, _, one_minus_t = _float_route._anchor_terms(n, n // 2 + 1, n + 1)
+        start = _float_route._top_tail(n, sensors, one_minus_t,
+                                       beta_density_at_anchor(n, sensors))
         for j in (0, len(start) // 4, len(start) // 2, len(start) - 1):
             i = n // 2 + 1 + j
             want = _binomial_tail_mpmath(n, i)
