@@ -51,6 +51,10 @@ COMMANDS = (
     "asymptotic --theorem 2 --a 13 --grid 1000,2880",
     # a >= 3: the cost's power by repeated multiplication
     "simulate --n 50 --a 3 --trials 2000 --seed 7",
+    # odd exact totals past n = 400, and a per-sensor table of odd n
+    "exact --n 1000 --a 1",
+    "exact --n 2000 --a 3",
+    "exact --n 1001 --a 9 --per-sensor --format csv",
     # size guard: exit 3
     "exact --n 2001 --a 1",
     "exact --n 2001 --a 2 --per-sensor",

@@ -93,6 +93,8 @@ def _cmd_exact(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Tab
             if x.denominator != q:
                 q, q_text = x.denominator, str(x.denominator)
             texts[key] = _frac(x, q_text)
+        totals = {id(e.e_total): e.e_total for e in breakdown.per_sensor}  # mirrors share one
+        approx = {key: _flt(float(x)) for key, x in totals.items()}
         rows = [
             {
                 "i": str(e.i),
@@ -100,7 +102,7 @@ def _cmd_exact(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Tab
                 "e_total": texts[id(e.e_total)],
                 "e_signed_part": texts[id(e.e_signed_part)],
                 "e_folded_part": texts[id(e.e_folded_part)],
-                "e_total_approx": _flt(float(e.e_total)),
+                "e_total_approx": approx[id(e.e_total)],
             }
             for e in breakdown.per_sensor
         ]

@@ -43,9 +43,13 @@ def binomial(n: int, k: int) -> int:
 
 
 def rising_factorial(x: Rational, k: int) -> Rational:
-    """x(x+1)...(x+k-1); the empty product (k = 0) is 1."""
+    """x(x+1)...(x+k-1); the empty product (k = 0) is 1.  For a Fraction p/q and k >= 1 it
+    is the integer product p(p+q)...(p+(k-1)q) over q^k, reduced once."""
     if k < 0:
         raise ValueError("rising_factorial requires k >= 0")
+    if isinstance(x, Fraction) and k:
+        p, q = x.numerator, x.denominator
+        return Fraction(math.prod(range(p, p + k * q, q)), q**k)
     out: Rational = 1
     for u in range(k):
         out *= x + u
@@ -53,9 +57,13 @@ def rising_factorial(x: Rational, k: int) -> Rational:
 
 
 def falling_factorial(x: Rational, k: int) -> Rational:
-    """x(x-1)...(x-k+1); the empty product (k = 0) is 1."""
+    """x(x-1)...(x-k+1); the empty product (k = 0) is 1.  For a Fraction p/q and k >= 1 it
+    is the integer product p(p-q)...(p-(k-1)q) over q^k, reduced once."""
     if k < 0:
         raise ValueError("falling_factorial requires k >= 0")
+    if isinstance(x, Fraction) and k:
+        p, q = x.numerator, x.denominator
+        return Fraction(math.prod(range(p, p - k * q, -q)), q**k)
     out: Rational = 1
     for u in range(k):
         out *= x - u

@@ -19,7 +19,13 @@ S_i = sum_(k>=i) C(n,k) P^k Q^(n-k), the integer form of the exact incomplete
 Beta in special_functions, summed for 2i > n only.  Scaled as
 l_k = L_k (2n)^k (n+1)^rising(k), every step of the recurrence is an integer,
 so all sensors' fields share one denominator: each output value is one reduced
-Fraction, and the total is reduced once.  The float route, in _float_route
+Fraction, and the total is reduced once.  The denominator's primes are known: 2, the
+primes of n and those of (n+1)^rising(a).  So a value is reduced by them (_Denominators,
+_lowest_terms): the power of 2 by bit operations, the primes of n by their valuations and
+the rest, a few dozen bits, by one small gcd; no gcd of two numbers of the denominator's
+size runs, and the Fraction is built without one (_fraction).  The odd total sums the
+computed sensors' integer numerators and reduces once, building no per-sensor record
+(_total).  The float route, in _float_route
 (where numpy loads, on first call), runs it on arrays, from the density and
 I(t_i; i, n-i+1), summed directly from the binomial terms: O(n^(3/2)) work in
 one pass, run-to-run identical, up to n = _FLOAT_N_GUARD.
@@ -165,12 +171,160 @@ def _moment_denominator(n: int, a: int) -> int:
     return (2 * n) ** a * rising_factorial(n + 1, a)
 
 
+def _fraction(num: int, den: int) -> Fraction:
+    """num/den for coprime num and den > 0, without the gcd that Fraction(num, den) runs
+    even on a coprime pair: it sets Fraction's two slots, ('_numerator', '_denominator')
+    from Python 3.10 to 3.13, which test_moments pins."""
+    value = object.__new__(Fraction)
+    value._numerator, value._denominator = num, den
+    return value
+
+
+class _Denominators:
+    """The denominators of one (n, a)'s sensor fields, split by their known primes.
+
+    E(t_i - X_i)^a is an integer over (2n)^a R, R = (n+1)^rising(a).  For odd a the folded
+    part and the total are integers over (2n)^power R, power = n + a, that is over
+    scale (2n)^a R with scale = (2n)^n; for even a, power = a and scale = 1.  Sensor i's
+    fields have smaller denominators when d = gcd(2i-1, n) > 1: P, Q and H are multiples of
+    d, so the recurrence run on P/d, Q/d, H/d and 2n/d yields them as integers over
+    (2n/d)^k R, k = a or power, and d^k divides their numerators over (2n)^k R.
+    split(d, k) splits (2n/d)^k R once per (d, k), as (d^k, D, twos, odd, rest) with
+    D = 2^twos prod(p^e for p, e in odd) rest, odd the odd primes of n/d and rest the part
+    of R prime to 2n/d, at most a log2(n+a) bits; _lowest_terms reduces by it.
+    """
+
+    def __init__(self, q: MomentQuery) -> None:
+        n, a = q.n, q.a
+        self.n = n
+        self.rising = rising_factorial(n + 1, a)
+        self.power = n + a if q.odd else a
+        self._odd, self._twos = n, 1  # 2n = 2^_twos _odd: a power of 2n is a shifted power
+        while self._odd % 2 == 0:
+            self._odd //= 2
+            self._twos += 1
+        self.scale = self._odd**n << self._twos * n if q.odd else 1
+        small = _moment_denominator(n, a)
+        self._den = {a: small, self.power: self.scale * small}
+        self._splits: dict[tuple[int, int], tuple] = {}
+
+    def split(self, d: int, k: int) -> tuple:
+        """(2n/d)^k R split by its known primes, formed on first use."""
+        if (d, k) not in self._splits:
+            rest = self.rising
+            low = (rest & -rest).bit_length() - 1
+            rest >>= low
+            odd, f, p = [], self._odd // d, 3
+            while f > 1:
+                if p * p > f:
+                    p = f
+                e = 0
+                while f % p == 0:
+                    f //= p
+                    e += k
+                while e and rest % p == 0:
+                    rest //= p
+                    e += 1
+                if e:
+                    odd.append((p, e))
+                p += 2
+            divisor = d**k
+            den = self._den[k] // divisor if d > 1 else self._den[k]
+            self._splits[d, k] = (divisor, den, self._twos * k + low, tuple(odd), rest)
+        return self._splits[d, k]
+
+    def reduce(self, num: int, i: int, k: int) -> Fraction:
+        """num / ((2n)^k R) in lowest terms, for a field of sensor i (k = a or power)."""
+        return _lowest_terms(num, self.split(math.gcd(2 * i - 1, self.n), k))
+
+
+def _divide_out(num: int, p: int, cap: int) -> tuple[int, int]:
+    """(v, num / p^v) with v = min(v_p(num), cap), num != 0: galloping by p, p^2, p^4, ...,
+    then back down, so a valuation v costs O(log v) divisions."""
+    v, steps, step, k = 0, [], p, 1
+    while v + k <= cap:
+        quotient, remainder = divmod(num, step)
+        if remainder:
+            break
+        num, v = quotient, v + k
+        steps.append((step, k))
+        step, k = step * step, 2 * k
+    for step, k in reversed(steps):
+        if v + k <= cap:
+            quotient, remainder = divmod(num, step)
+            if not remainder:
+                num, v = quotient, v + k
+    return v, num
+
+
+def _lowest_terms(num: int, split: tuple) -> Fraction:
+    """num / (divisor D) in lowest terms, for split = (divisor, D, twos, odd, rest) of
+    _Denominators.split, where divisor divides num: the power of 2 by bit operations, each
+    odd prime of D by _divide_out and rest by one small gcd.  Fraction(num, divisor D) would
+    run a gcd of two numbers of D's size, then another on the reduced pair."""
+    divisor, den, twos, odd, rest = split
+    if not num:
+        return Fraction(0)
+    if divisor > 1:
+        num //= divisor
+    k = min(twos, (num & -num).bit_length() - 1)
+    num, den = num >> k, den >> k
+    for p, e in odd:
+        v, num = _divide_out(num, p, e)
+        if v:
+            den //= p**v
+    g = math.gcd(num, rest)
+    return _fraction(num // g, den // g) if g > 1 else _fraction(num, den)
+
+
+def _numerators(q: MomentQuery, i: int) -> tuple[int, int]:
+    """(full, folded) for 2i > n: E(t_i - X_i)^a = full / ((2n)^a (n+1)^rising(a)) and,
+    for odd a, the folded part 2 L_a = folded / ((2n)^(n+a) (n+1)^rising(a)); folded is 0
+    for even a."""
+    n, a = q.n, q.a
+    full = _scaled_left_moment(n, a, i, 0, 1)
+    return full, (2 * _scaled_left_moment(n, a, i, *_tail_terms(n, i)) if q.odd else 0)
+
+
+def _computed_rows(q: MomentQuery):
+    """(i, *_numerators(q, i)) for the computed sensors i > n/2, one at a time; guarded at
+    EXACT_N_GUARD."""
+    _size_guard(q.n, EXACT_N_GUARD, "exact path guarded at n <= {limit} (got n={n}); "
+                "use total_moment_float for larger n")
+    return ((i, *_numerators(q, i)) for i in range(q.n // 2 + 1, q.n + 1))
+
+
+def _total(q: MomentQuery, rows, dens: _Denominators) -> Fraction:
+    """sum_i E|X_i - t_i|^a from the computed sensors' (i, full, folded), each mirrored pair
+    twice and the middle sensor of odd n once: the numerators are summed over the common
+    denominator (2n)^power R and reduced once."""
+    full_sum = folded_sum = 0
+    for i, full, folded in rows:
+        w = 1 if 2 * i - 1 == q.n else 2
+        full_sum += w * full
+        folded_sum += w * folded
+    signed = -full_sum if q.odd else full_sum  # E(X_i - t_i)^a = (-1)^a E(t_i - X_i)^a
+    return _lowest_terms(folded_sum + dens.scale * signed, dens.split(1, dens.power))
+
+
+def _sensor(q: MomentQuery, i: int, full: int, folded: int, dens: _Denominators) -> SensorMoment:
+    """Sensor i > n/2 from its _numerators."""
+    t = anchor(i, q.n)
+    if not q.odd:
+        m = dens.reduce(full, i, q.a)
+        return SensorMoment(i=i, t=t, e_total=m, e_signed_part=m, e_folded_part=Fraction(0))
+    return SensorMoment(i=i, t=t, e_total=dens.reduce(folded - dens.scale * full, i, dens.power),
+                        e_signed_part=dens.reduce(-full, i, q.a),
+                        e_folded_part=dens.reduce(folded, i, dens.power))
+
+
 def _mirror(q: MomentQuery, e: SensorMoment) -> SensorMoment:
     """Sensor n+1-i from sensor i: X_(n+1-i) has the law of 1 - X_i and t_(n+1-i) = 1 - t_i,
     so the total is the same object, and for odd a the signed part changes sign."""
+    n, i = q.n, e.i
     signed = -e.e_signed_part if q.odd else e.e_signed_part
-    return SensorMoment(i=q.n + 1 - e.i, t=1 - e.t, e_total=e.e_total, e_signed_part=signed,
-                        e_folded_part=e.e_total - signed)
+    return SensorMoment(i=n + 1 - i, t=Fraction(2 * (n - i) + 1, 2 * n), e_total=e.e_total,
+                        e_signed_part=signed, e_folded_part=e.e_total - signed)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -179,7 +333,9 @@ def _tail_terms(n: int, i: int) -> tuple[int, int]:
     g = i C(n,i) P^i Q^(n-i+1) = (2n)^(n+1) t_i(1-t_i) f_i(t_i) and the binomial tail
     S_i = (2n)^n I(t_i; i, n-i+1), P = 2i-1 and Q = 2n-2i+1."""
     p, r = 2 * i - 1, 2 * (n - i) + 1
-    return i * math.comb(n, i) * p**i * r ** (n - i + 1), _beta_tail(p, 2 * n, i, n - i + 1)
+    power = p**i  # both carry it: a third of a cold top sensor's time at n = 20000
+    return (i * math.comb(n, i) * power * r ** (n - i + 1),
+            _beta_tail(p, 2 * n, i, n - i + 1, power))
 
 
 def per_sensor_moment_exact(q: MomentQuery, i: int) -> SensorMoment:
@@ -197,19 +353,11 @@ def per_sensor_moment_exact(q: MomentQuery, i: int) -> SensorMoment:
     and Q = 2n-2i+1.  A sensor i <= n/2 is the mirror image of n+1-i (_mirror),
     so the binomial tail is summed only for 2i > n, over at most ceil(n/2) terms.
     """
-    n, a = q.n, q.a
-    t = anchor(i, n)
+    n = q.n
+    anchor(i, n)
     if 2 * i <= n:
         return _mirror(q, per_sensor_moment_exact(q, n + 1 - i))
-    full, den = _scaled_left_moment(n, a, i, 0, 1), _moment_denominator(n, a)
-    if not q.odd:
-        m = Fraction(full, den)
-        return SensorMoment(i=i, t=t, e_total=m, e_signed_part=m, e_folded_part=Fraction(0))
-    g, tail = _tail_terms(n, i)
-    folded = Fraction(2 * _scaled_left_moment(n, a, i, g, tail), (2 * n) ** n * den)
-    signed = Fraction(-full, den)
-    return SensorMoment(i=i, t=t, e_total=folded + signed, e_signed_part=signed,
-                        e_folded_part=folded)
+    return _sensor(q, i, *_numerators(q, i), _Denominators(q))
 
 
 def total_moment_exact(q: MomentQuery) -> MomentBreakdown:
@@ -218,17 +366,12 @@ def total_moment_exact(q: MomentQuery) -> MomentBreakdown:
     Sensors i > n/2 are computed; each sensor i <= n/2 is the mirror image of
     n+1-i (_mirror): same total, and for odd a the signed part changes sign.  The total
     sums the sensors' numerators over their common denominator, each mirrored
-    pair twice, and reduces once.
+    pair twice, and reduces once (_total).
     """
-    n = q.n
-    _size_guard(n, EXACT_N_GUARD, "exact path guarded at n <= {limit} (got n={n}); "
-                "use total_moment_float for larger n")
-    upper = [per_sensor_moment_exact(q, i) for i in range(n // 2 + 1, n + 1)]
-    lower = [_mirror(q, e) for e in upper[::-1][: n // 2]]  # sensor i from n+1-i
-    den = _moment_denominator(n, q.a) * (2 * n) ** (n if q.odd else 0)
-    scaled = [e.e_total.numerator * (den // e.e_total.denominator) for e in upper]
-    total = Fraction(2 * sum(scaled) - (scaled[0] if n % 2 else 0), den)  # middle sensor once
-    return MomentBreakdown(per_sensor=tuple(lower + upper), total=total)
+    rows, dens = list(_computed_rows(q)), _Denominators(q)
+    upper = [_sensor(q, *row, dens) for row in rows]
+    lower = [_mirror(q, e) for e in upper[::-1][: q.n // 2]]  # sensor i from n+1-i
+    return MomentBreakdown(per_sensor=tuple(lower + upper), total=_total(q, rows, dens))
 
 
 def _times_linear(b: list[int], s: int, r: int) -> list[int]:
@@ -265,8 +408,9 @@ def signed_moment_total(q: MomentQuery) -> Fraction:
 
 def _exact_total(q: MomentQuery) -> Fraction:
     """The exact total: the closed form for even a, at any n; for odd a the per-sensor
-    route, which refuses n > EXACT_N_GUARD."""
-    return total_moment_exact(q).total if q.odd else signed_moment_total(q)
+    route's numerators, summed and reduced once with no SensorMoment (_total), refusing
+    n > EXACT_N_GUARD as total_moment_exact does."""
+    return _total(q, _computed_rows(q), _Denominators(q)) if q.odd else signed_moment_total(q)
 
 
 def total_moment_float(q: MomentQuery) -> FloatMomentBreakdown:

@@ -162,20 +162,21 @@ def beta_exact(c: Rational, d: Rational) -> HalfIntValue:
     return gamma_half_int(c2) * gamma_half_int(d2) / gamma_half_int(c2 + d2)
 
 
-def _beta_tail(p: int, q: int, c: int, d: int) -> int:
+def _beta_tail(p: int, q: int, c: int, d: int, p_power: int | None = None) -> int:
     """q^m I(p/q; c, d) = sum_(k>=c) C(m,k) p^k r^(m-k), m = c+d-1, r = q-p, exact.
 
     I(z; c, d) = P(Bin(m, z) >= c).  The d terms have ratios
     T_(k-1) / T_k = kr / ((m-k+1)p), so the sum times (m-c)! / p^c is
     sum_(j=c..m) prod_(k=j+1..m) kr prod_(k=c+1..j) (m-k+1)p, summed in Horner
     form with small multipliers only and divided once.  Every term is positive.
+    A caller that has p^c passes it as p_power.
     """
     r = q - p
     acc = prod = 1
     for k in range(c + 1, c + d):
         prod *= (c + d - k) * p
         acc = acc * (k * r) + prod
-    return p**c * acc // math.factorial(d - 1)
+    return (p**c if p_power is None else p_power) * acc // math.factorial(d - 1)
 
 
 def incomplete_beta_regularized_exact(z: Rational, c: int, d: int) -> Fraction:
@@ -184,12 +185,13 @@ def incomplete_beta_regularized_exact(z: Rational, c: int, d: int) -> Fraction:
     With z = p/q in lowest terms, I(z; c, d) = P(Bin(c+d-1, z) >= c), a positive
     binomial tail: one integer over q^(c+d-1) (_beta_tail), reduced once.
     """
-    z = Fraction(z)
-    if not (0 <= z <= 1):
+    z = z if isinstance(z, Fraction) else Fraction(z)
+    p, q = z.numerator, z.denominator
+    if not 0 <= p <= q:
         raise ValueError("z must lie in [0, 1]")
     if c < 1 or d < 1:
         raise ValueError("c and d must be integers >= 1")
-    return Fraction(_beta_tail(z.numerator, z.denominator, c, d), z.denominator ** (c + d - 1))
+    return Fraction(_beta_tail(p, q, c, d), q ** (c + d - 1))
 
 
 def incomplete_beta_step_down(z: Rational, c: int, d: int) -> Fraction:
@@ -200,14 +202,14 @@ def incomplete_beta_step_down(z: Rational, c: int, d: int) -> Fraction:
     With z = p/q and r = q-p it is one integer over q^(c+d-1), reduced once:
     q _beta_tail(p, q, c-1, d) - C(c+d-2, c-1) p^(c-1) r^d.
     """
-    z = Fraction(z)
+    z = z if isinstance(z, Fraction) else Fraction(z)
     if c < 2:
         raise ValueError("incomplete_beta_step_down requires c >= 2")
-    if not (0 <= z <= 1):
+    p, q = z.numerator, z.denominator
+    if not 0 <= p <= q:
         raise ValueError("z must lie in [0, 1]")
     if d < 1:
         raise ValueError("d must be an integer >= 1")
-    p, q = z.numerator, z.denominator
     step = math.comb(c + d - 2, c - 1) * p ** (c - 1) * (q - p) ** d
     return Fraction(q * _beta_tail(p, q, c - 1, d) - step, q ** (c + d - 1))
 

@@ -103,6 +103,19 @@ def test_rising_is_reflected_falling(x, k):
     assert rising_factorial(x, k) == falling_factorial(x + k - 1, k)
 
 
+@given(st.one_of(st.fractions(min_value=-9, max_value=9, max_denominator=40),
+                st.integers(-9, 9)), st.integers(0, 12))
+def test_factorials_equal_the_plain_loop(x, k):
+    # a Fraction p/q takes one integer product over q^k; the values and types are the loop's
+    rising = falling = 1
+    for u in range(k):
+        rising *= x + u
+        falling *= x - u
+    for got, want in ((rising_factorial(x, k), rising), (falling_factorial(x, k), falling)):
+        assert got == want
+        assert type(got) is type(want)
+
+
 @given(st.integers(1, 40), st.integers(0, 10))
 def test_rising_factorial_integer_matches_factorial_ratio(n, k):
     assert rising_factorial(n, k) == math.factorial(n + k - 1) // math.factorial(n - 1)

@@ -8,9 +8,11 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
-from anchor_moments import _expansion, _float_route
+from anchor_moments import _expansion, _float_route, moments
 from anchor_moments._expansion import ENVELOPE, _horner, expansion_value, leading_constant
 from anchor_moments._float_route import (
     anchor_sum,
@@ -25,6 +27,8 @@ from anchor_moments.moments import (
     MomentQuery,
     SensorMoment,
     SizeGuardError,
+    _Denominators,
+    _exact_total,
     _moment_denominator,
     _scaled_left_moment,
     _tail_terms,
@@ -198,6 +202,60 @@ def test_symmetry_across_the_midpoint():
 def test_exact_size_guard():
     with pytest.raises(SizeGuardError):
         total_moment_exact(MomentQuery(EXACT_N_GUARD + 1, 1))
+    with pytest.raises(SizeGuardError):
+        _exact_total(MomentQuery(EXACT_N_GUARD + 1, 1))
+
+
+def test_exact_total_equals_the_breakdown_total():
+    for n in [*range(1, 42), 399, 400, 1000]:
+        for a in (1, 3, 9):
+            q = MomentQuery(n, a)
+            assert _exact_total(q) == total_moment_exact(q).total, (n, a)
+
+
+def test_odd_exact_total_builds_no_sensor_records(monkeypatch):
+    want = {(n, a): total_moment_exact(MomentQuery(n, a)).total
+            for n in (1, 2, 7, 40) for a in (1, 3)}
+
+    def refuse(*args):
+        raise AssertionError("the odd total built a SensorMoment")
+
+    for name in ("SensorMoment", "per_sensor_moment_exact", "_mirror", "_sensor"):
+        monkeypatch.setattr(moments, name, refuse)
+    for (n, a), total in want.items():
+        assert _exact_total(MomentQuery(n, a)) == total
+
+
+# --- reduction by the denominators' known primes -------------------------------------
+
+
+def test_fraction_keeps_its_two_slots():
+    # moments._fraction builds a reduced Fraction by setting these two slots; a Python
+    # whose Fraction stores more, or other names, fails here rather than printing a wrong p/q
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.one_of(st.integers(1, 60), st.sampled_from([399, 400, 2000])), a=st.integers(1, 13),
+       data=st.data())
+def test_reduction_by_known_primes_is_fractions_reduction(n, a, data):
+    # numerators over the real denominators (2n)^k (n+1)^rising(a), k = a or n + a, with
+    # a divisor of the denominator drawn in; a field of sensor i carries d^k, d = gcd(2i-1, n)
+    q = MomentQuery(n, a)
+    dens = _Denominators(q)
+    k = data.draw(st.sampled_from([a, dens.power]))
+    i = data.draw(st.integers(n // 2 + 1, n))
+    den = _moment_denominator(n, a) * (2 * n) ** (k - a)
+    m = n >> ((n & -n).bit_length() - 1)
+    common = math.gcd(den, 2 ** data.draw(st.integers(0, 3 * k)) * m ** data.draw(
+        st.integers(0, 2 * k)) * data.draw(st.integers(1, 2**70)))
+    num = data.draw(st.integers(-(2**80), 2**80)) * common * math.gcd(2 * i - 1, n) ** k
+    got, want = dens.reduce(num, i, k), Fraction(num, den)
+    assert type(got) is Fraction
+    assert got == want
+    assert hash(got) == hash(want)
+    # what repr prints; repr itself can pass Python's 4300-digit limit on str(int)
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
 
 
 @pytest.mark.parametrize("a", range(2, 21, 2))
@@ -564,7 +622,7 @@ def test_boundary_constants_fit_exact_totals():
     boundary = _expansion._BOUNDARY
     assert sorted(_FIT_TOLERANCE) == [(a, j) for a in boundary for j in range(len(boundary[a]))]
     # n outside, so that the orders at one n share its binomial tails
-    totals = {(n, a): total_moment_exact(MomentQuery(n, a)).total for n in grid for a in ENVELOPE}
+    totals = {(n, a): _exact_total(MomentQuery(n, a)) for n in grid for a in ENVELOPE}
     for a, (k, p) in ENVELOPE.items():
         r = leading_constant(a).rational
         bracket = [1] + [_horner(row, a) for row in rows]

@@ -156,6 +156,22 @@ def test_incomplete_beta_domain_errors():
         incomplete_beta_regularized_exact(Fraction(1, 2), 0, 1)
 
 
+def test_incomplete_beta_z_outside_the_unit_interval_keeps_its_message():
+    for z in (Fraction(-1, 3), Fraction(4, 3), 1.5):
+        with pytest.raises(ValueError, match=r"^z must lie in \[0, 1\]$"):
+            incomplete_beta_regularized_exact(z, 2, 3)
+        with pytest.raises(ValueError, match=r"^z must lie in \[0, 1\]$"):
+            incomplete_beta_step_down(z, 2, 3)
+
+
+def test_incomplete_beta_accepts_z_as_an_int_a_float_or_a_string():
+    for z, exact in ((0, Fraction(0)), (1, Fraction(1)), (0.25, Fraction(1, 4)),
+                     ("2/3", Fraction(2, 3))):
+        assert incomplete_beta_regularized_exact(z, 3, 2) == incomplete_beta_regularized_exact(
+            exact, 3, 2)
+        assert incomplete_beta_step_down(z, 3, 2) == incomplete_beta_step_down(exact, 3, 2)
+
+
 def test_incomplete_beta_matches_literal_oracle():
     zs = [Fraction(1, 7), Fraction(2, 5), Fraction(9, 10), Fraction(1, 2)]
     for z in zs:
