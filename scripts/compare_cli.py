@@ -40,6 +40,7 @@ COMMANDS = (
     "asymptotic --theorem 2 --a 3 --grid 1000,100000 --format csv",
     "lemma --id 4 --c 0.5 --n 300 --format csv",
     "identities --suite technical2b --format csv",
+    "identities --suite beta --format csv",
     # even totals in closed form past the size guard
     "exact --n 1000000000 --a 4",
     "exact --n 2001 --a 2",
@@ -75,6 +76,8 @@ COMMANDS = (
     "asymptotic --theorem 2 --a 219 --grid 100,1000",
     "lemma --id 1 --a 1001 --n 10",
     "lemma --id 2 --a 1001 --n 10",
+    # a lemma-4 sum that underflows: t_i^(c+1) is 0
+    "lemma --id 4 --c 1e308 --n 3",
     # help of the top-level parser and of each subcommand
     "--help",
     "exact --help",

@@ -123,6 +123,7 @@ def abel_anchor_sum(n: int, c: float) -> float:
     Grows like n^(3/2) * (2/sqrt(2 pi)) * B(c+3/2, 3/2).  Each term is
     2 f_i(t_i) t_i^(c+1) (1-t_i) with f_i the Beta(i, n-i+1) density; summed exactly in
     passes of sensors and rounded once, from terms good to about 1e-15, up to n = 10^7.
+    A sum that would be subnormal or 0, as large c makes it, is refused with ValueError.
     """
     if n < 1:
         raise ValueError("n must lie in [1, 10^7]")
@@ -130,7 +131,11 @@ def abel_anchor_sum(n: int, c: float) -> float:
     if not 0 <= c < math.inf:  # also refuses NaN
         raise ValueError("c must lie in [0, inf)")
     from ._float_route import anchor_sum  # numpy, on first use
-    return anchor_sum(n, c)
+    total = anchor_sum(n, c)
+    if total < sys.float_info.min:
+        raise ValueError(f"the sum at n = {n}, c = {c:g} is {total:g}, "
+                         "outside the range of normal floats")
+    return total
 
 
 def diagonal_coefficients(a: int) -> CoefficientSet:

@@ -24,10 +24,9 @@ from .combinatorics import (
 )
 from .special_functions import (
     HalfIntValue,
+    _beta_tail,
     beta_exact,
     gamma_half_int,
-    incomplete_beta_regularized_exact,
-    incomplete_beta_step_down,
     stirling_bounds,
 )
 
@@ -68,11 +67,12 @@ def _check(suite: str, row: str | None = None) -> Callable[[Callable], _Check]:
     return register
 
 
-def _random_rationals(rng: random.Random, count: int, lo: int = -6, hi: int = 6) -> list[Fraction]:
+def _random_rationals(rng: random.Random, count: int) -> list[Fraction]:
+    """count rationals in [-6, 6] with denominators 1..12."""
     out = []
     while len(out) < count:
         den = rng.randint(1, 12)
-        num = rng.randint(lo * den, hi * den)
+        num = rng.randint(-6 * den, 6 * den)
         out.append(Fraction(num, den))
     return out
 
@@ -185,48 +185,38 @@ def check_cycle_near_diagonal() -> _Pairs:
 
 
 # --- beta suite ------------------------------------------------------------
+# The first three rows check the binomial tail T(p, q, c, d) = q^m I(p/q; c, d), m = c+d-1,
+# that every exact layer uses (_beta_tail), as identities between integers over q^m.
 
 
-@_check("beta")
-def check_beta_cdf_range() -> IdentityCheckResult:
+@_check("beta", "regularized-beta-in-unit-range")
+def check_beta_cdf_range() -> _Pairs:
+    # 0 <= I(z; c, d) <= 1
     rng = random.Random(_SEED + 3)
-    bad = 0
-    worst = 0.0
     for _ in range(500):
-        den = rng.randint(1, 50)
-        z = Fraction(rng.randint(0, den), den)
-        c = rng.randint(1, 40)
-        d = rng.randint(1, 40)
-        v = incomplete_beta_regularized_exact(z, c, d)
-        if not 0 <= v <= 1:
-            bad += 1
-            worst = max(worst, float(abs(v - Fraction(1, 2))) - 0.5)
-    return _result("regularized-beta-in-unit-range", bad, worst)
+        q = rng.randint(1, 50)
+        p, c, d = rng.randint(0, q), rng.randint(1, 40), rng.randint(1, 40)
+        yield 0 <= _beta_tail(p, q, c, d) <= q ** (c + d - 1), True
 
 
-_STEP_DOWN_Z = (Fraction(1, 7), Fraction(1, 3), Fraction(9, 10))
-_STEP_DOWN_GRID = [(c, d, z) for c in range(2, 31) for d in range(1, 31) for z in _STEP_DOWN_Z]
+_STEP_DOWN_Z = ((1, 7), (1, 3), (9, 10))  # z = p/q
+_STEP_DOWN_GRID = [(c, d, p, q) for c in range(2, 31) for d in range(1, 31)
+                   for p, q in _STEP_DOWN_Z]
 
 
 @_check("beta", "incomplete-beta-step-down")
 def check_step_down_recurrence() -> _Pairs:
-    for c, d, z in _STEP_DOWN_GRID:
-        yield incomplete_beta_step_down(z, c, d), incomplete_beta_regularized_exact(z, c, d)
+    # I(z; c, d) = I(z; c-1, d) - C(c+d-2, c-1) z^(c-1) (1-z)^d
+    for c, d, p, q in _STEP_DOWN_GRID:
+        step = math.comb(c + d - 2, c - 1) * p ** (c - 1) * (q - p) ** d
+        yield q * _beta_tail(p, q, c - 1, d) - step, _beta_tail(p, q, c, d)
 
 
 @_check("beta", "incomplete-beta-complement")
 def check_complement_symmetry() -> _Pairs:
-    for c, d, z in _STEP_DOWN_GRID:
-        yield (incomplete_beta_regularized_exact(z, c, d)
-               + incomplete_beta_regularized_exact(1 - z, d, c)), 1
-
-
-@_check("beta", "beta-symmetry")
-def check_beta_symmetry() -> _Pairs:
-    args = [Fraction(k, 2) for k in range(1, 13)]
-    for c in args:
-        for d in args:
-            yield beta_exact(c, d), beta_exact(d, c)
+    # I(z; c, d) + I(1-z; d, c) = 1
+    for c, d, p, q in _STEP_DOWN_GRID:
+        yield _beta_tail(p, q, c, d) + _beta_tail(q - p, q, d, c), q ** (c + d - 1)
 
 
 @_check("beta", "beta-binomial-reciprocal")
@@ -254,7 +244,7 @@ def check_float_beta_accuracy() -> IdentityCheckResult:
         cases.append((n, int(i[0]), tail[0]))
     worst = 0.0
     for n, i, approx in cases:
-        exact = float(incomplete_beta_regularized_exact(Fraction(2 * i - 1, 2 * n), i, n - i + 1))
+        exact = _beta_tail(2 * i - 1, 2 * n, i, n - i + 1) / (2 * n) ** n  # correctly rounded
         worst = max(worst, abs(float(approx) - exact) / exact)
     return _result("float-beta-matches-exact", int(worst > 1e-12), worst,
                    detail=f"max relative error {worst:.3e}")

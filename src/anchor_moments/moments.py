@@ -80,8 +80,10 @@ __all__ = [
 
 # Every size limit and route choice lives here.  Rational bit length of the per-sensor route
 # grows roughly like n log n; beyond EXACT_N_GUARD, odd totals take the float route, whose
-# direct sums stop at _FLOAT_N_GUARD (about 0.1 s).  Lemma 4's sum needs only the densities
-# and stops at _ANCHOR_SUM_N_GUARD.  Even totals (signed_moment_total) have no limit.
+# direct sums stop at _FLOAT_N_GUARD (about 0.1 s).  One exact sensor (per_sensor_moment_exact),
+# the float route's oracle in tests, stops there too: its cost grows about like n^2, 0.3 s at
+# 2 10^4 and 4.8 s at 8 10^4.  Lemma 4's sum needs only the densities and stops at
+# _ANCHOR_SUM_N_GUARD.  Even totals (signed_moment_total) have no limit.
 EXACT_N_GUARD = 2000
 _FLOAT_N_GUARD = 2 * 10**4
 _ANCHOR_SUM_N_GUARD = 10**7
@@ -352,9 +354,11 @@ def per_sensor_moment_exact(q: MomentQuery, i: int) -> SensorMoment:
     (2n)^(n+1) t_i(1-t_i) f_i(t_i) = i C(n,i) P^i Q^(n-i+1), where P = 2i-1
     and Q = 2n-2i+1.  A sensor i <= n/2 is the mirror image of n+1-i (_mirror),
     so the binomial tail is summed only for 2i > n, over at most ceil(n/2) terms.
+    Guarded at _FLOAT_N_GUARD.
     """
     n = q.n
     anchor(i, n)
+    _size_guard(n, _FLOAT_N_GUARD, "per-sensor path guarded at n <= {limit} (got n={n})")
     if 2 * i <= n:
         return _mirror(q, per_sensor_moment_exact(q, n + 1 - i))
     return _sensor(q, i, *_numerators(q, i), _Denominators(q))
@@ -418,19 +422,19 @@ def total_moment_float(q: MomentQuery) -> FloatMomentBreakdown:
 
     Even a: the correctly rounded signed_moment_total, at any n.  Odd a <= 13 from
     n = _EXPANSION_N0[a] on: the expansion, in O(a) work, within 2^-54 of the total by its
-    envelope; a total that would overflow or be subnormal is refused with ValueError.
-    Other odd totals: the float route, n up to _FLOAT_N_GUARD.
+    envelope.  Other odd totals: the float route, n up to _FLOAT_N_GUARD.  On every route a
+    total that would overflow, be subnormal or be 0 is refused with ValueError.
     """
     if not q.odd:
         total = float(signed_moment_total(q))
     elif q.n >= _EXPANSION_N0.get(q.a, math.inf):
         from ._expansion import expansion_value
         total = float(expansion_value(q.n, q.a))
-        if not sys.float_info.min <= total < math.inf:
-            raise ValueError(f"the total at n = {q.n}, a = {q.a} is {total:g}, "
-                             "outside the range of normal floats")
     else:
         _size_guard(q.n, _FLOAT_N_GUARD, "float path supports n <= {limit} for odd a >= 15")
         from ._float_route import odd_total  # numpy, on first use
         total = odd_total(q.n, q.a)
+    if not sys.float_info.min <= total < math.inf:
+        raise ValueError(f"the total at n = {q.n}, a = {q.a} is {total:g}, "
+                         "outside the range of normal floats")
     return FloatMomentBreakdown(n=q.n, a=q.a, total=total)

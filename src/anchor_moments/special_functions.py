@@ -4,7 +4,8 @@ Half-integer Gamma and Beta values live in the ring of monomials
 q * sqrt(2)**s * sqrt(pi)**p with q rational, so identities between them can
 be verified exactly instead of to a tolerance.  The regularized incomplete
 Beta function at integer parameters and rational z is an exact, positive
-binomial tail in integers, and has a one-step form of its parameter recurrence.
+binomial tail in integers (_beta_tail), the form the exact route and the identity
+checks share.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ __all__ = [
     "gamma_half_int",
     "beta_exact",
     "incomplete_beta_regularized_exact",
-    "incomplete_beta_step_down",
     "stirling_bounds",
 ]
 
@@ -192,26 +192,6 @@ def incomplete_beta_regularized_exact(z: Rational, c: int, d: int) -> Fraction:
     if c < 1 or d < 1:
         raise ValueError("c and d must be integers >= 1")
     return Fraction(_beta_tail(p, q, c, d), q ** (c + d - 1))
-
-
-def incomplete_beta_step_down(z: Rational, c: int, d: int) -> Fraction:
-    """I(z; c, d) via one step of the parameter recurrence.
-
-    I(z;c,d) = I(z;c-1,d) - Gamma(c+d-1)/(Gamma(c)Gamma(d)) z^(c-1)(1-z)^d, the
-    Gamma ratio being C(c+d-2, c-1), with the lower value direct.  Requires c >= 2.
-    With z = p/q and r = q-p it is one integer over q^(c+d-1), reduced once:
-    q _beta_tail(p, q, c-1, d) - C(c+d-2, c-1) p^(c-1) r^d.
-    """
-    z = z if isinstance(z, Fraction) else Fraction(z)
-    if c < 2:
-        raise ValueError("incomplete_beta_step_down requires c >= 2")
-    p, q = z.numerator, z.denominator
-    if not 0 <= p <= q:
-        raise ValueError("z must lie in [0, 1]")
-    if d < 1:
-        raise ValueError("d must be an integer >= 1")
-    step = math.comb(c + d - 2, c - 1) * p ** (c - 1) * (q - p) ** d
-    return Fraction(q * _beta_tail(p, q, c - 1, d) - step, q ** (c + d - 1))
 
 
 def stirling_bounds(m: int) -> tuple[float, float, float]:

@@ -156,6 +156,7 @@ def test_every_size_limit_exits_3(capsys, argv, message):
     ("asymptotic", "--theorem", "2", "--a", "127", "--grid", "100,100000"),
     ("lemma", "--id", "1", "--a", "1001", "--n", "10"),  # n^((a-1)/2) overflows
     ("lemma", "--id", "2", "--a", "1001", "--n", "10"),
+    ("lemma", "--id", "4", "--c", "1e308", "--n", "3"),  # t_i^(c+1), and the sum, are 0
 ])
 def test_large_orders_past_the_float_range_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -465,14 +466,15 @@ exec("from anchor_moments import *", names)
 print(json.dumps([numpy_on_import, sorted(names)]))
 """
 
-# what `from anchor_moments import *` bound before the package had an __all__
+# what `from anchor_moments import *` bound before the package had an __all__, less
+# incomplete_beta_step_down, since removed
 _PUBLIC_NAMES = {
     "AsymptoticReport", "CoefficientSet", "EXACT_N_GUARD", "FloatMomentBreakdown", "HalfIntValue",
     "IdentityCheckResult", "MomentBreakdown", "MomentQuery", "SensorMoment", "SimulationConfig",
     "SimulationResult", "SizeGuardError", "abel_anchor_sum", "anchor", "asymptotics",
     "beta_exact", "binomial", "combinatorics", "diagonal_coefficients", "estimate",
     "eulerian_second_order", "falling_factorial", "finite_difference", "gamma_half_int",
-    "incomplete_beta_regularized_exact", "incomplete_beta_step_down", "leading_constant",
+    "incomplete_beta_regularized_exact", "leading_constant",
     "moments", "per_sensor_moment_exact", "remainder_diagnostic", "rising_factorial",
     "simulation", "special_functions", "stirling_bounds", "stirling_cycle", "stirling_subset",
     "total_moment_exact", "total_moment_float", "vanishing_signed_sum",

@@ -204,6 +204,11 @@ def test_exact_size_guard():
         total_moment_exact(MomentQuery(EXACT_N_GUARD + 1, 1))
     with pytest.raises(SizeGuardError):
         _exact_total(MomentQuery(EXACT_N_GUARD + 1, 1))
+    # one sensor costs about n^2; it is the float route's oracle up to _FLOAT_N_GUARD
+    for i in (1, 10_001, 20_001):
+        with pytest.raises(SizeGuardError, match=r"^per-sensor path guarded at n <= 20000 "
+                                                 r"\(got n=20001\)$"):
+            per_sensor_moment_exact(MomentQuery(_FLOAT_N_GUARD + 1, 1), i)
 
 
 def test_exact_total_equals_the_breakdown_total():
@@ -646,9 +651,13 @@ def test_boundary_constants_fit_exact_totals():
             a, float(fit[j]))
 
 
-def test_expansion_refuses_totals_outside_the_normal_floats():
+def test_every_route_refuses_totals_outside_the_normal_floats():
     assert total_moment_float(MomentQuery(10**80, 9)).total >= sys.float_info.min
-    for n, a in ((10**620, 1), (10**90, 9)):  # inf, and 2.3e-316
+    for n, a in (
+        (10**620, 1), (10**90, 9),  # the expansion: inf, and 2.3e-316
+        (2000, 401), (2000, 351),  # the float route: 0.0, and 1.0e-313
+        (10**6, 400), (1000, 2000),  # the even closed form: 0.0
+    ):
         with pytest.raises(ValueError, match="outside the range of normal floats"):
             total_moment_float(MomentQuery(n, a))
 

@@ -9,10 +9,10 @@ from scipy.special import betainc
 from anchor_moments.identities import _STEP_DOWN_GRID
 from anchor_moments.special_functions import (
     HalfIntValue,
+    _beta_tail,
     beta_exact,
     gamma_half_int,
     incomplete_beta_regularized_exact,
-    incomplete_beta_step_down,
     stirling_bounds,
 )
 
@@ -160,8 +160,6 @@ def test_incomplete_beta_z_outside_the_unit_interval_keeps_its_message():
     for z in (Fraction(-1, 3), Fraction(4, 3), 1.5):
         with pytest.raises(ValueError, match=r"^z must lie in \[0, 1\]$"):
             incomplete_beta_regularized_exact(z, 2, 3)
-        with pytest.raises(ValueError, match=r"^z must lie in \[0, 1\]$"):
-            incomplete_beta_step_down(z, 2, 3)
 
 
 def test_incomplete_beta_accepts_z_as_an_int_a_float_or_a_string():
@@ -169,7 +167,6 @@ def test_incomplete_beta_accepts_z_as_an_int_a_float_or_a_string():
                      ("2/3", Fraction(2, 3))):
         assert incomplete_beta_regularized_exact(z, 3, 2) == incomplete_beta_regularized_exact(
             exact, 3, 2)
-        assert incomplete_beta_step_down(z, 3, 2) == incomplete_beta_step_down(exact, 3, 2)
 
 
 def test_incomplete_beta_matches_literal_oracle():
@@ -217,21 +214,26 @@ def test_incomplete_beta_complement(z, c, d):
     assert lhs + rhs == 1
 
 
-# --- step-down recurrence -----------------------------------------------------------
+# --- step-down recurrence, on the binomial tail in integers -------------------------
+
+
+def _step_down(p: int, q: int, c: int, d: int) -> int:
+    """q^m I(p/q; c, d), m = c+d-1, from one step of the parameter recurrence, as the identity
+    suite writes it: q T(p, q, c-1, d) - C(c+d-2, c-1) p^(c-1) (q-p)^d."""
+    step = math.comb(c + d - 2, c - 1) * p ** (c - 1) * (q - p) ** d
+    return q * _beta_tail(p, q, c - 1, d) - step
 
 
 def test_step_down_example():
-    assert incomplete_beta_step_down(Fraction(1, 2), 2, 1) == Fraction(1, 4)
+    # I(1/2; 2, 1) = 1/4: q^m = 4
+    assert _step_down(1, 2, 2, 1) == _beta_tail(1, 2, 2, 1) == 1
 
 
 def test_step_down_endpoints():
-    assert incomplete_beta_step_down(Fraction(0), 3, 2) == 0
-    assert incomplete_beta_step_down(Fraction(1), 3, 2) == 1
-
-
-def test_step_down_requires_c_at_least_two():
-    with pytest.raises(ValueError):
-        incomplete_beta_step_down(Fraction(1, 2), 1, 1)
+    # z = 0 and z = 1, as 0/q and q/q: the tail is 0 and q^m
+    for q in (1, 7):
+        assert _step_down(0, q, 3, 2) == _beta_tail(0, q, 3, 2) == 0
+        assert _step_down(q, q, 3, 2) == _beta_tail(q, q, 3, 2) == q**4
 
 
 def _step_down_in_fractions(z: Fraction, c: int, d: int) -> Fraction:
@@ -241,13 +243,14 @@ def _step_down_in_fractions(z: Fraction, c: int, d: int) -> Fraction:
 
 
 def test_step_down_equals_direct_on_grid():
-    # the identity suite's grid, and both ends of [0, 1]; the step in integers must equal
-    # the recurrence in Fractions as well as the direct value
-    endpoints = [(c, d, z) for c in range(2, 7) for d in range(1, 7)
-                 for z in (Fraction(0), Fraction(1))]
-    for c, d, z in _STEP_DOWN_GRID + endpoints:
+    # the identity suite's grid, and both ends of [0, 1]; the step in integers over q^m must
+    # equal the recurrence in Fractions as well as the direct value
+    endpoints = [(c, d, p, 1) for c in range(2, 7) for d in range(1, 7) for p in (0, 1)]
+    for c, d, p, q in _STEP_DOWN_GRID + endpoints:
+        z = Fraction(p, q)
         direct = incomplete_beta_regularized_exact(z, c, d)
-        assert incomplete_beta_step_down(z, c, d) == _step_down_in_fractions(z, c, d) == direct
+        step = Fraction(_step_down(p, q, c, d), q ** (c + d - 1))
+        assert step == _step_down_in_fractions(z, c, d) == direct
 
 
 # --- float incomplete Beta (scipy) against the exact one ----------------------------------------------------------------------
