@@ -56,6 +56,9 @@ COMMANDS = (
     "exact --n 1000 --a 1",
     "exact --n 2000 --a 3",
     "exact --n 1001 --a 9 --per-sensor --format csv",
+    # high powers of 5 in n: a total at 3 5^4, and a table with d = gcd(2i-1, n) up to 5^4
+    "exact --n 1875 --a 1",
+    "exact --n 625 --a 3 --per-sensor --format csv",
     # size guard: exit 3
     "exact --n 2001 --a 1",
     "exact --n 2001 --a 2 --per-sensor",

@@ -32,8 +32,7 @@ _SOURCES = {
     ),
     "simulation": ("SimulationConfig", "SimulationResult", "estimate"),
     "special_functions": (
-        "HalfIntValue", "beta_exact", "gamma_half_int", "incomplete_beta_regularized_exact",
-        "stirling_bounds",
+        "HalfIntValue", "beta_exact", "gamma_half_int", "stirling_bounds",
     ),
 }
 _HOME = {name: module for module, names in _SOURCES.items() for name in (module, *names)}

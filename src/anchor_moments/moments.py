@@ -15,17 +15,17 @@ t >= 1/2.  The exact route runs it in plain integers.  Write P = 2i-1,
 Q = 2n-2i+1 and H = 2i-1-n, so that t_i = P/(2n), 1 - t_i = Q/(2n) and
 t_i - 1/2 = H/(2n).  The left tail starts from the binomial tail
 I(t_i; i, n-i+1) = P(Bin(n, t_i) >= i) = S_i / (2n)^n with
-S_i = sum_(k>=i) C(n,k) P^k Q^(n-k), the integer form of the exact incomplete
-Beta in special_functions, summed for 2i > n only.  Scaled as
+S_i = sum_(k>=i) C(n,k) P^k Q^(n-k), the exact incomplete Beta in integers
+(special_functions._beta_tail), summed for 2i > n only.  Scaled as
 l_k = L_k (2n)^k (n+1)^rising(k), every step of the recurrence is an integer,
 so all sensors' fields share one denominator: each output value is one reduced
 Fraction, and the total is reduced once.  The denominator's primes are known: 2, the
 primes of n and those of (n+1)^rising(a).  So a value is reduced by them (_Denominators,
-_lowest_terms): the power of 2 by bit operations, the primes of n by their valuations and
-the rest, a few dozen bits, by one small gcd; no gcd of two numbers of the denominator's
-size runs, and the Fraction is built without one (_fraction).  The odd total sums the
-computed sensors' integer numerators and reduces once, building no per-sensor record
-(_total).  The float route, in _float_route
+_lowest_terms): the power of 2 by bit operations, the odd primes by gcds against the odd
+part of 2n (n+1)^rising(a), about a log2(n+a) bits; no gcd of two numbers of the
+denominator's size runs, and the Fraction is built without one (_fraction).  The odd
+total sums the computed sensors' integer numerators and reduces once, building no
+per-sensor record (_total).  The float route, in _float_route
 (where numpy loads, on first call), runs it on arrays, from the density and
 I(t_i; i, n-i+1), summed directly from the binomial terms: O(n^(3/2)) work in
 one pass, run-to-run identical, up to n = _FLOAT_N_GUARD.
@@ -183,7 +183,7 @@ def _fraction(num: int, den: int) -> Fraction:
 
 
 class _Denominators:
-    """The denominators of one (n, a)'s sensor fields, split by their known primes.
+    """The denominators of one (n, a)'s sensor fields, and what reduces a value over them.
 
     E(t_i - X_i)^a is an integer over (2n)^a R, R = (n+1)^rising(a).  For odd a the folded
     part and the total are integers over (2n)^power R, power = n + a, that is over
@@ -191,48 +191,30 @@ class _Denominators:
     fields have smaller denominators when d = gcd(2i-1, n) > 1: P, Q and H are multiples of
     d, so the recurrence run on P/d, Q/d, H/d and 2n/d yields them as integers over
     (2n/d)^k R, k = a or power, and d^k divides their numerators over (2n)^k R.
-    split(d, k) splits (2n/d)^k R once per (d, k), as (d^k, D, twos, odd, rest) with
-    D = 2^twos prod(p^e for p, e in odd) rest, odd the odd primes of n/d and rest the part
-    of R prime to 2n/d, at most a log2(n+a) bits; _lowest_terms reduces by it.
+    split(d, k) forms (d^k, D, twos, odd) once per (d, k): D = (2n/d)^k R, 2^twos the power
+    of 2 in D, and odd the odd part of 2n/d times that of R, at most about a log2(n+a) bits,
+    which every odd prime of D divides; _lowest_terms reduces by it.
     """
 
     def __init__(self, q: MomentQuery) -> None:
         n, a = q.n, q.a
         self.n = n
-        self.rising = rising_factorial(n + 1, a)
+        rising = rising_factorial(n + 1, a)
         self.power = n + a if q.odd else a
-        self._odd, self._twos = n, 1  # 2n = 2^_twos _odd: a power of 2n is a shifted power
-        while self._odd % 2 == 0:
-            self._odd //= 2
-            self._twos += 1
-        self.scale = self._odd**n << self._twos * n if q.odd else 1
+        twos, low = (n & -n).bit_length(), (rising & -rising).bit_length() - 1
+        m = n >> twos - 1  # 2n = 2^twos m and R = 2^low r, m and r odd
+        self._twos, self._low, self._odd = twos, low, m * (rising >> low)
+        self.scale = m**n << twos * n if q.odd else 1  # (2n)^n, a power of 2n as a shifted m^n
         small = _moment_denominator(n, a)
         self._den = {a: small, self.power: self.scale * small}
         self._splits: dict[tuple[int, int], tuple] = {}
 
     def split(self, d: int, k: int) -> tuple:
-        """(2n/d)^k R split by its known primes, formed on first use."""
+        """(d^k, (2n/d)^k R, twos, odd), formed on first use."""
         if (d, k) not in self._splits:
-            rest = self.rising
-            low = (rest & -rest).bit_length() - 1
-            rest >>= low
-            odd, f, p = [], self._odd // d, 3
-            while f > 1:
-                if p * p > f:
-                    p = f
-                e = 0
-                while f % p == 0:
-                    f //= p
-                    e += k
-                while e and rest % p == 0:
-                    rest //= p
-                    e += 1
-                if e:
-                    odd.append((p, e))
-                p += 2
             divisor = d**k
-            den = self._den[k] // divisor if d > 1 else self._den[k]
-            self._splits[d, k] = (divisor, den, self._twos * k + low, tuple(odd), rest)
+            self._splits[d, k] = (divisor, self._den[k] // divisor, self._twos * k + self._low,
+                                  self._odd // d)
         return self._splits[d, k]
 
     def reduce(self, num: int, i: int, k: int) -> Fraction:
@@ -240,43 +222,25 @@ class _Denominators:
         return _lowest_terms(num, self.split(math.gcd(2 * i - 1, self.n), k))
 
 
-def _divide_out(num: int, p: int, cap: int) -> tuple[int, int]:
-    """(v, num / p^v) with v = min(v_p(num), cap), num != 0: galloping by p, p^2, p^4, ...,
-    then back down, so a valuation v costs O(log v) divisions."""
-    v, steps, step, k = 0, [], p, 1
-    while v + k <= cap:
-        quotient, remainder = divmod(num, step)
-        if remainder:
-            break
-        num, v = quotient, v + k
-        steps.append((step, k))
-        step, k = step * step, 2 * k
-    for step, k in reversed(steps):
-        if v + k <= cap:
-            quotient, remainder = divmod(num, step)
-            if not remainder:
-                num, v = quotient, v + k
-    return v, num
-
-
 def _lowest_terms(num: int, split: tuple) -> Fraction:
-    """num / (divisor D) in lowest terms, for split = (divisor, D, twos, odd, rest) of
-    _Denominators.split, where divisor divides num: the power of 2 by bit operations, each
-    odd prime of D by _divide_out and rest by one small gcd.  Fraction(num, divisor D) would
-    run a gcd of two numbers of D's size, then another on the reduced pair."""
-    divisor, den, twos, odd, rest = split
+    """num / (divisor D) in lowest terms, for split = (divisor, D, twos, odd) of
+    _Denominators.split, where divisor divides num: the power of 2 by bit operations, the
+    odd primes by gcds against odd, which every odd prime of D divides.  Each pass divides
+    by a common divisor g and takes the next from num and g^2, so a prime's power can double
+    from one pass to the next.  Fraction(num, divisor D) would run a gcd of two numbers of
+    D's size, then another on the reduced pair; here every gcd has a small side."""
+    divisor, den, twos, odd = split
     if not num:
         return Fraction(0)
     if divisor > 1:
         num //= divisor
     k = min(twos, (num & -num).bit_length() - 1)
     num, den = num >> k, den >> k
-    for p, e in odd:
-        v, num = _divide_out(num, p, e)
-        if v:
-            den //= p**v
-    g = math.gcd(num, rest)
-    return _fraction(num // g, den // g) if g > 1 else _fraction(num, den)
+    g = math.gcd(num, odd)
+    while g > 1 and (g := math.gcd(g, den)) > 1:  # every common prime divides g
+        num, den = num // g, den // g
+        g = math.gcd(num, g * g)  # each pass may take twice the last one's powers
+    return _fraction(num, den)
 
 
 def _numerators(q: MomentQuery, i: int) -> tuple[int, int]:

@@ -20,7 +20,6 @@ __all__ = [
     "HalfIntValue",
     "gamma_half_int",
     "beta_exact",
-    "incomplete_beta_regularized_exact",
     "stirling_bounds",
 ]
 
@@ -177,21 +176,6 @@ def _beta_tail(p: int, q: int, c: int, d: int, p_power: int | None = None) -> in
         prod *= (c + d - k) * p
         acc = acc * (k * r) + prod
     return (p**c if p_power is None else p_power) * acc // math.factorial(d - 1)
-
-
-def incomplete_beta_regularized_exact(z: Rational, c: int, d: int) -> Fraction:
-    """Regularized incomplete Beta I(z; c, d), exact rational.
-
-    With z = p/q in lowest terms, I(z; c, d) = P(Bin(c+d-1, z) >= c), a positive
-    binomial tail: one integer over q^(c+d-1) (_beta_tail), reduced once.
-    """
-    z = z if isinstance(z, Fraction) else Fraction(z)
-    p, q = z.numerator, z.denominator
-    if not 0 <= p <= q:
-        raise ValueError("z must lie in [0, 1]")
-    if c < 1 or d < 1:
-        raise ValueError("c and d must be integers >= 1")
-    return Fraction(_beta_tail(p, q, c, d), q ** (c + d - 1))
 
 
 def stirling_bounds(m: int) -> tuple[float, float, float]:

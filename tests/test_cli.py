@@ -467,14 +467,14 @@ print(json.dumps([numpy_on_import, sorted(names)]))
 """
 
 # what `from anchor_moments import *` bound before the package had an __all__, less
-# incomplete_beta_step_down, since removed
+# incomplete_beta_step_down and incomplete_beta_regularized_exact, since removed
 _PUBLIC_NAMES = {
     "AsymptoticReport", "CoefficientSet", "EXACT_N_GUARD", "FloatMomentBreakdown", "HalfIntValue",
     "IdentityCheckResult", "MomentBreakdown", "MomentQuery", "SensorMoment", "SimulationConfig",
     "SimulationResult", "SizeGuardError", "abel_anchor_sum", "anchor", "asymptotics",
     "beta_exact", "binomial", "combinatorics", "diagonal_coefficients", "estimate",
     "eulerian_second_order", "falling_factorial", "finite_difference", "gamma_half_int",
-    "incomplete_beta_regularized_exact", "leading_constant",
+    "leading_constant",
     "moments", "per_sensor_moment_exact", "remainder_diagnostic", "rising_factorial",
     "simulation", "special_functions", "stirling_bounds", "stirling_cycle", "stirling_subset",
     "total_moment_exact", "total_moment_float", "vanishing_signed_sum",

@@ -241,8 +241,8 @@ def test_fraction_keeps_its_two_slots():
 
 
 @settings(max_examples=300, deadline=None)
-@given(n=st.one_of(st.integers(1, 60), st.sampled_from([399, 400, 2000])), a=st.integers(1, 13),
-       data=st.data())
+@given(n=st.one_of(st.integers(1, 60), st.sampled_from([399, 400, 625, 1875, 2000])),
+       a=st.integers(1, 13), data=st.data())
 def test_reduction_by_known_primes_is_fractions_reduction(n, a, data):
     # numerators over the real denominators (2n)^k (n+1)^rising(a), k = a or n + a, with
     # a divisor of the denominator drawn in; a field of sensor i carries d^k, d = gcd(2i-1, n)

@@ -12,7 +12,6 @@ from anchor_moments.special_functions import (
     _beta_tail,
     beta_exact,
     gamma_half_int,
-    incomplete_beta_regularized_exact,
     stirling_bounds,
 )
 
@@ -130,43 +129,28 @@ def test_beta_rejects_bad_arguments():
         beta_exact(0, 1)
 
 
-# --- exact incomplete beta ---------------------------------------------------------
+# --- exact incomplete beta: the binomial tail in integers ---------------------------
+
+
+def _ibeta(z: Fraction, c: int, d: int) -> Fraction:
+    """I(z; c, d) for z = p/q in lowest terms: _beta_tail over q^(c+d-1), as a Fraction."""
+    return Fraction(_beta_tail(z.numerator, z.denominator, c, d), z.denominator ** (c + d - 1))
 
 
 def test_incomplete_beta_examples():
-    assert incomplete_beta_regularized_exact(Fraction(1, 2), 1, 1) == Fraction(1, 2)
-    assert incomplete_beta_regularized_exact(Fraction(1, 2), 2, 1) == Fraction(1, 4)
-    assert incomplete_beta_regularized_exact(Fraction(1, 4), 2, 2) == Fraction(5, 32)
+    assert _ibeta(Fraction(1, 2), 1, 1) == Fraction(1, 2)
+    assert _ibeta(Fraction(1, 2), 2, 1) == Fraction(1, 4)
+    assert _ibeta(Fraction(1, 4), 2, 2) == Fraction(5, 32)
 
 
 def test_incomplete_beta_endpoints():
-    assert incomplete_beta_regularized_exact(Fraction(0), 3, 2) == 0
-    assert incomplete_beta_regularized_exact(Fraction(1), 3, 2) == 1
+    assert _ibeta(Fraction(0), 3, 2) == 0
+    assert _ibeta(Fraction(1), 3, 2) == 1
     # z = 0 and z = 1 go through the binomial tail like any other z
     for c in range(1, 21):
         for d in range(1, 21):
-            assert incomplete_beta_regularized_exact(Fraction(0), c, d) == 0
-            assert incomplete_beta_regularized_exact(Fraction(1), c, d) == 1
-
-
-def test_incomplete_beta_domain_errors():
-    with pytest.raises(ValueError):
-        incomplete_beta_regularized_exact(Fraction(3, 2), 1, 1)
-    with pytest.raises(ValueError):
-        incomplete_beta_regularized_exact(Fraction(1, 2), 0, 1)
-
-
-def test_incomplete_beta_z_outside_the_unit_interval_keeps_its_message():
-    for z in (Fraction(-1, 3), Fraction(4, 3), 1.5):
-        with pytest.raises(ValueError, match=r"^z must lie in \[0, 1\]$"):
-            incomplete_beta_regularized_exact(z, 2, 3)
-
-
-def test_incomplete_beta_accepts_z_as_an_int_a_float_or_a_string():
-    for z, exact in ((0, Fraction(0)), (1, Fraction(1)), (0.25, Fraction(1, 4)),
-                     ("2/3", Fraction(2, 3))):
-        assert incomplete_beta_regularized_exact(z, 3, 2) == incomplete_beta_regularized_exact(
-            exact, 3, 2)
+            assert _ibeta(Fraction(0), c, d) == 0
+            assert _ibeta(Fraction(1), c, d) == 1
 
 
 def test_incomplete_beta_matches_literal_oracle():
@@ -174,7 +158,7 @@ def test_incomplete_beta_matches_literal_oracle():
     for z in zs:
         for c in range(1, 12):
             for d in range(1, 12):
-                assert incomplete_beta_regularized_exact(z, c, d) == ibeta_literal(z, c, d)
+                assert _ibeta(z, c, d) == ibeta_literal(z, c, d)
 
 
 def test_incomplete_beta_matches_binomial_tail_oracle():
@@ -182,13 +166,12 @@ def test_incomplete_beta_matches_binomial_tail_oracle():
     for z in zs:
         for c in range(1, 15):
             for d in range(1, 15):
-                assert incomplete_beta_regularized_exact(z, c, d) == ibeta_binomial_tail(z, c, d)
+                assert _ibeta(z, c, d) == ibeta_binomial_tail(z, c, d)
     # the sizes the exact route runs: I(t_i; i, n-i+1), t_i = (2i-1)/(2n)
     for n in (200, 201):
         for i in (1, 2, n // 2, n // 2 + 1, n - 1, n):
             z = Fraction(2 * i - 1, 2 * n)
-            assert incomplete_beta_regularized_exact(z, i, n - i + 1) == \
-                ibeta_binomial_tail(z, i, n - i + 1)
+            assert _ibeta(z, i, n - i + 1) == ibeta_binomial_tail(z, i, n - i + 1)
 
 
 @settings(max_examples=80)
@@ -198,7 +181,7 @@ def test_incomplete_beta_matches_binomial_tail_oracle():
     st.integers(1, 25),
 )
 def test_incomplete_beta_in_unit_interval(z, c, d):
-    v = incomplete_beta_regularized_exact(z, c, d)
+    v = _ibeta(z, c, d)
     assert 0 <= v <= 1
 
 
@@ -209,8 +192,8 @@ def test_incomplete_beta_in_unit_interval(z, c, d):
     st.integers(1, 20),
 )
 def test_incomplete_beta_complement(z, c, d):
-    lhs = incomplete_beta_regularized_exact(z, c, d)
-    rhs = incomplete_beta_regularized_exact(1 - z, d, c)
+    lhs = _ibeta(z, c, d)
+    rhs = _ibeta(1 - z, d, c)
     assert lhs + rhs == 1
 
 
@@ -239,7 +222,7 @@ def test_step_down_endpoints():
 def _step_down_in_fractions(z: Fraction, c: int, d: int) -> Fraction:
     """The recurrence as written, term by term in Fraction arithmetic."""
     coeff = math.comb(c + d - 2, c - 1)
-    return incomplete_beta_regularized_exact(z, c - 1, d) - coeff * z ** (c - 1) * (1 - z) ** d
+    return _ibeta(z, c - 1, d) - coeff * z ** (c - 1) * (1 - z) ** d
 
 
 def test_step_down_equals_direct_on_grid():
@@ -248,7 +231,7 @@ def test_step_down_equals_direct_on_grid():
     endpoints = [(c, d, p, 1) for c in range(2, 7) for d in range(1, 7) for p in (0, 1)]
     for c, d, p, q in _STEP_DOWN_GRID + endpoints:
         z = Fraction(p, q)
-        direct = incomplete_beta_regularized_exact(z, c, d)
+        direct = _ibeta(z, c, d)
         step = Fraction(_step_down(p, q, c, d), q ** (c + d - 1))
         assert step == _step_down_in_fractions(z, c, d) == direct
 
@@ -259,7 +242,7 @@ def test_step_down_equals_direct_on_grid():
 def test_incomplete_beta_float_examples():
     assert betainc(1, 1, 0.5) == pytest.approx(0.5, abs=1e-15)
     assert betainc(2, 2, 0.25) == pytest.approx(0.15625, rel=1e-14)
-    exact = incomplete_beta_regularized_exact(Fraction(3, 10), 10, 5)
+    exact = _ibeta(Fraction(3, 10), 10, 5)
     assert betainc(10, 5, 0.3) == pytest.approx(float(exact), rel=1e-12)
 
 
@@ -267,7 +250,7 @@ def test_incomplete_beta_float_matches_exact_large_parameters():
     cases = [(Fraction(1, 2), 250, 250), (Fraction(1, 10), 37, 401),
              (Fraction(7, 8), 420, 13), (Fraction(2, 3), 100, 199)]
     for z, c, d in cases:
-        exact = float(incomplete_beta_regularized_exact(z, c, d))
+        exact = float(_ibeta(z, c, d))
         approx = betainc(c, d, float(z))
         assert approx == pytest.approx(exact, rel=1e-12)
 
