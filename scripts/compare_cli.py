@@ -50,6 +50,12 @@ COMMANDS = (
     # the odd float route past n = 100: a >= 15 up to its limit, and a = 13 below N0(13)
     "asymptotic --theorem 2 --a 15 --grid 100,2000,20000",
     "asymptotic --theorem 2 --a 13 --grid 1000,2880",
+    # the expansion from N0(a) on, for every odd a it serves past a = 3
+    "asymptotic --theorem 2 --a 5 --grid 902,903,10000,123457,1000000,10000000,1000000000000",
+    "asymptotic --theorem 2 --a 7 --grid 750,751,10000,123457,1000000,10000000,1000000000000",
+    "asymptotic --theorem 2 --a 9 --grid 832,833,10000,123457,1000000,10000000,1000000000000",
+    "asymptotic --theorem 2 --a 11 --grid 1818,1819,10000,123457,1000000,10000000,1000000000000",
+    "asymptotic --theorem 2 --a 13 --grid 2881,2882,10000,123457,1000000,10000000,1000000000000",
     # a >= 3: the cost's power by repeated multiplication
     "simulate --n 50 --a 3 --trials 2000 --seed 7",
     # odd exact totals past n = 400, and a per-sensor table of odd n

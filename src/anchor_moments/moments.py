@@ -61,7 +61,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .combinatorics import falling_factorial, rising_factorial
+from .combinatorics import rising_factorial
 from .special_functions import _beta_tail
 
 __all__ = [
@@ -370,7 +370,10 @@ def signed_moment_total(q: MomentQuery) -> Fraction:
         step, scale = -(a - j) * 2 * n, (j + 1) * (n + j + 1)
         rising = _times_linear(rising, step, step * j)[: n + 1]  # zip cuts poly to match
         poly = [u + v for u, v in zip(_times_linear(poly, 2 * scale, -scale), rising)]
-    total = sum(c * (falling_factorial(n + 1, m + 1) // (m + 1)) for m, c in enumerate(poly))
+    total, power = 0, n + 1  # power = (n+1)^falling(m+1)
+    for m, c in enumerate(poly):
+        total += c * (power // (m + 1))
+        power *= n - m
     return Fraction(total - poly[0], math.factorial(a) * _moment_denominator(n, a))
 
 

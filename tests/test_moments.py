@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 import sys
 import tracemalloc
 from decimal import Context, Decimal, localcontext
@@ -38,7 +39,7 @@ from anchor_moments.moments import (
     total_moment_exact,
     total_moment_float,
 )
-from anchor_moments.special_functions import beta_exact
+from anchor_moments.special_functions import HalfIntValue, beta_exact, gamma_half_int
 
 # --- independent oracles -------------------------------------------------------
 
@@ -501,14 +502,7 @@ def test_order_independent_caches_are_found_by_a_module_scan():
     found = {id(value) for name, module in list(sys.modules.items())
              if name == "anchor_moments" or name.startswith("anchor_moments.")
              for value in vars(module).values() if callable(getattr(value, "cache_clear", None))}
-    for cache in (_tail_terms, _expansion._constants):
-        assert id(cache) in found, cache.__name__
-    _expansion._constants.cache_clear()
-    warm = expansion_value(10**5, 7)
-    expansion_value(2 * 10**5, 7)  # a second total at the same order reuses the constants
-    assert _expansion._constants.cache_info().hits == 1
-    _expansion._constants.cache_clear()
-    assert expansion_value(10**5, 7) == warm
+    assert id(_tail_terms) in found
 
 
 # --- expansion route ---------------------------------------------------------------
@@ -619,12 +613,18 @@ _FIT_TOLERANCE = {(1, 0): 1e-17, (1, 1): 1e-13, (1, 2): 1e-9, (3, 0): 1e-16, (3,
                   (5, 0): 1e-16}
 
 
+def _boundary_terms(a: int) -> list[Fraction]:
+    """B_(a,0), B_(a,1), ... from _expansion._BOUNDARY's (lcm, numerators)."""
+    lcm, numerators = _expansion._BOUNDARY.get(a, (1, ()))
+    return [Fraction(u, lcm) for u in numerators]
+
+
 def test_boundary_constants_fit_exact_totals():
     # n^a (S - C(a) n^(1-a/2) [1 + sum_(k<=10) b_k n^-k]) is the boundary part times n^a,
     # sum_j B_(a,j) n^-j; its polynomial in 1/n through six exact totals gives each B_(a,j)
     rows, _ = _bracket_rows()
     grid = range(300, 801, 100)
-    boundary = _expansion._BOUNDARY
+    boundary = {a: _boundary_terms(a) for a in _expansion._BOUNDARY}
     assert sorted(_FIT_TOLERANCE) == [(a, j) for a in boundary for j in range(len(boundary[a]))]
     # n outside, so that the orders at one n share its binomial tails
     totals = {(n, a): _exact_total(MomentQuery(n, a)) for n in grid for a in ENVELOPE}
@@ -649,6 +649,61 @@ def test_boundary_constants_fit_exact_totals():
         assert power >= 2 * p, a
         assert fit[j] ** 2 <= r**2 * 2 * Fraction(_PI) * k**2 * Fraction(n0) ** (power - 2 * p), (
             a, float(fit[j]))
+
+
+def _gamma_route_constant(a: int) -> HalfIntValue:
+    """C(a) = Gamma(a/2+1) / (2^(a/2) (1+a)) from the exact Gamma function."""
+    return gamma_half_int(a + 2) / HalfIntValue(Fraction(1), a, 0) / (1 + a)
+
+
+def test_leading_constant_closed_form_is_the_gamma_route():
+    for a in range(1, 402):
+        assert leading_constant(a) == _gamma_route_constant(a), a
+
+
+def _expansion_oracle(n: int, a: int) -> Decimal:
+    """The expansion in Fractions: C(a) by the Gamma route, the bracket rows b_1..b_4 as
+    Fractions in 1/n and the boundary terms, then the same 40-digit decimal steps."""
+    r = _gamma_route_constant(a).rational
+    bracket = (Fraction(1),) + tuple(Fraction(_horner(row, a), den)
+                                     for den, row in _expansion._BRACKET)
+    x = Fraction(1, n)
+    scaled = r * _horner(bracket, x) * x ** ((a - 1) // 2)
+    boundary = x**a * _horner(_boundary_terms(a), x)
+    with localcontext(Context(prec=40)):
+        root = _expansion._SQRT_2PI * Decimal(n).sqrt()
+        return (root * Decimal(scaled.numerator) / scaled.denominator
+                + Decimal(boundary.numerator) / boundary.denominator)
+
+
+@pytest.mark.parametrize("a", range(1, 14, 2))
+def test_expansion_value_is_its_fraction_oracle(a):
+    # the integer evaluator forms the same reduced quotients, so the same 40-digit decimal
+    n0, rng = _EXPANSION_N0[a], random.Random(a)
+    grid = [n0, n0 + 1, 2000, 10**5, 10**6, 10**7, 10**12, 10**300, 10**616]
+    for n in grid + [rng.randint(1, 10**9) for _ in range(200)]:
+        assert expansion_value(n, a) == _expansion_oracle(n, a), n
+
+
+def test_remainder_after_the_leading_term_is_c_b1_n_to_the_minus_a_half():
+    # n^(a/2) (S - C n^(1-a/2)) / C tends to b_1(a) = -(a^2+6a+2)/36: the remainder is
+    # C b_1 n^(-a/2) (1 + O(1/n)), sharper by sqrt(n) than the paper's O(n^-((a-1)/2)).  For
+    # a = 1 the boundary term B_(1,0) n^-1 makes the correction O(n^-1/2) instead
+    distance = {}
+    for n in (400, 800):  # n outside, so that the orders at one n share its binomial tails
+        for a in ENVELOPE:
+            total, r = _exact_total(MomentQuery(n, a)), leading_constant(a).rational
+            b1 = Fraction(-(a * a + 6 * a + 2), 36)
+            with localcontext(Context(prec=60)):
+                c = (2 * _PI).sqrt() * r.numerator / r.denominator
+                half = Decimal(n).sqrt() * n ** ((a - 1) // 2)  # n^(a/2)
+                scaled = (Decimal(total.numerator) / total.denominator - c * n / half) * half / c
+                gap = abs(scaled - Decimal(b1.numerator) / b1.denominator)
+            distance.setdefault(a, []).append(gap)
+    for a, (d400, d800) in distance.items():
+        assert d800 < d400, a
+        # doubling n halves the distance, or divides it by sqrt(2) for a = 1
+        assert abs(float(d800 / d400) - (2**-0.5 if a == 1 else 0.5)) < 0.02, a
 
 
 def test_every_route_refuses_totals_outside_the_normal_floats():
