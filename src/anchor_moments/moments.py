@@ -39,8 +39,9 @@ g = i C(n,i) P^i Q^(n-i+1) are kept in _tail_terms, an lru_cache of 1024 sensors
 holds 0.25 MiB at n = 400 (200 sensors) and about 6.3 MiB at n = 2000 (1000 sensors).
 
 For even a the total is sum_i E(t_i - X_i)^a, a finite sum of Beta moments, and
-signed_moment_total gives it in closed form, exact at any n in work that depends
-on a alone.  The exact totals and the float totals of even orders use it; the
+signed_moment_total gives it in closed form, exact at any n in O(a min(a, n))
+integer steps.  The exact totals and the float totals of even orders use it, the float
+ones by one correctly rounded division of its unreduced numerator and denominator; the
 per-sensor route above stays its independent check, and the float route serves
 odd orders only.
 
@@ -342,39 +343,56 @@ def total_moment_exact(q: MomentQuery) -> MomentBreakdown:
     return MomentBreakdown(per_sensor=tuple(lower + upper), total=_total(q, rows, dens))
 
 
-def _times_linear(b: list[int], s: int, r: int) -> list[int]:
-    """(s x + r) sum_m b[m] x^falling(m) in the same basis, by x x^falling(m) = x^falling(m+1)
-    + m x^falling(m), the step behind x^k = sum_m {k, m} x^falling(m) (Graham, Knuth and
-    Patashnik, Concrete Mathematics, (6.10))."""
-    return [s * hi + (s * m + r) * lo for m, (hi, lo) in enumerate(zip([0] + b, b + [0]))]
+def _signed_total_terms(q: MomentQuery) -> tuple[int, int]:
+    """signed_moment_total(q) as an unreduced (numerator, denominator) pair, the
+    denominator a! (2n)^a (n+1)^rising(a).
 
-
-def signed_moment_total(q: MomentQuery) -> Fraction:
-    """sum_i E(t_i - X_i)^a, exact at any n, in O(a min(a, n)) products by small integers.
-
-    For even a it is the total cost; for odd a it is 0, the reflection pairing the sensors.
     With E X_i^j = i^rising(j) / (n+1)^rising(j) and t_i = (2i-1)/(2n), the binomial
-    expansion of (t_i - X_i)^a over the common denominator a! (2n)^a (n+1)^rising(a) has
-    the numerator sum_i V_a(i), where V_j(x) = sum_(k<=j) (j!/k!) a^falling(k) (-1)^k
-    (2x-1)^(j-k) (2n)^k x^rising(k) (n+k+1)^rising(j-k).  Horner's rule builds it,
-    R_(j+1) = -(a-j) 2n (x+j) R_j and V_(j+1) = (j+1) (n+j+1) (2x-1) V_j + R_(j+1) from
-    V_0 = R_0 = 1, in the falling-factorial basis, and the power sums
+    expansion of (t_i - X_i)^a over that denominator has the numerator sum_i V_a(i), where
+    V_j(x) = sum_(k<=j) (j!/k!) a^falling(k) (-1)^k (2x-1)^(j-k) (2n)^k x^rising(k)
+    (n+k+1)^rising(j-k).  Horner's rule builds it, R_(j+1) = -(a-j) 2n (x+j) R_j and
+    V_(j+1) = (j+1) (n+j+1) (2x-1) V_j + R_(j+1) from V_0 = R_0 = 1, in the
+    falling-factorial basis, where x x^falling(m) = x^falling(m+1) + m x^falling(m) (Graham,
+    Knuth and Patashnik, Concrete Mathematics, (6.10)).  With step = -(a-j) 2n and
+    scale = (j+1)(n+j+1), coefficient m of R_(j+1) is step (R_j[m-1] + (m+j) R_j[m]) and
+    that of V_(j+1) is scale (2 V_j[m-1] + (2m-1) V_j[m]) + R_(j+1)[m], so one pass over m
+    updates both lists in place, each multiplier kept as one small integer.  The power sums
     sum(i=0..n) i^falling(m) = (n+1)^falling(m+1) / (m+1) sum it over i; the term i = 0 is
     V_a's constant coefficient.  Falling powers past n vanish at i = 0..n and no step moves
     a coefficient to a lower power, so only the powers up to n are kept.  The basis keeps
     O(min(a, n)) integers, where tables of Stirling numbers to row a would hold O(a^2).
     """
     n, a = q.n, q.a
-    poly, rising = [1], [1]  # V_j and R_j, of degree j
+    poly, rising = [1], [1]  # V_j and R_j, of degree min(j, n)
     for j in range(a):
         step, scale = -(a - j) * 2 * n, (j + 1) * (n + j + 1)
-        rising = _times_linear(rising, step, step * j)[: n + 1]  # zip cuts poly to match
-        poly = [u + v for u, v in zip(_times_linear(poly, 2 * scale, -scale), rising)]
+        if len(poly) <= n:
+            poly.append(0)
+            rising.append(0)
+        twice, r_coef, v_coef = 2 * scale, step * j, -scale  # at m: step (m+j), scale (2m-1)
+        r_low = v_low = 0  # R_j[m-1] and V_j[m-1]
+        for m, r in enumerate(rising):
+            v = poly[m]
+            rising[m] = r_new = step * r_low + r_coef * r
+            poly[m] = twice * v_low + v_coef * v + r_new
+            r_low, v_low = r, v
+            r_coef += step
+            v_coef += twice
     total, power = 0, n + 1  # power = (n+1)^falling(m+1)
     for m, c in enumerate(poly):
         total += c * (power // (m + 1))
         power *= n - m
-    return Fraction(total - poly[0], math.factorial(a) * _moment_denominator(n, a))
+    return total - poly[0], math.factorial(a) * _moment_denominator(n, a)
+
+
+def signed_moment_total(q: MomentQuery) -> Fraction:
+    """sum_i E(t_i - X_i)^a, exact at any n, in O(a min(a, n)) products by small integers.
+
+    For even a it is the total cost; for odd a it is 0, the reflection pairing the sensors.
+    The numerator over a! (2n)^a (n+1)^rising(a) is one integer pass per order step
+    (_signed_total_terms).
+    """
+    return Fraction(*_signed_total_terms(q))
 
 
 def _exact_total(q: MomentQuery) -> Fraction:
@@ -393,7 +411,8 @@ def total_moment_float(q: MomentQuery) -> FloatMomentBreakdown:
     total that would overflow, be subnormal or be 0 is refused with ValueError.
     """
     if not q.odd:
-        total = float(signed_moment_total(q))
+        num, den = _signed_total_terms(q)
+        total = num / den  # correctly rounded, as float(Fraction(num, den)) is
     elif q.n >= _EXPANSION_N0.get(q.a, math.inf):
         from ._expansion import expansion_value
         total = float(expansion_value(q.n, q.a))

@@ -91,6 +91,27 @@ def direct_sensor_moment(q: MomentQuery, i: int) -> SensorMoment:
                         e_folded_part=folded)
 
 
+def _times_linear(b: list[int], s: int, r: int) -> list[int]:
+    """(s x + r) sum_m b[m] x^falling(m) in the same basis, by x x^falling(m) = x^falling(m+1)
+    + m x^falling(m)."""
+    return [s * hi + (s * m + r) * lo for m, (hi, lo) in enumerate(zip([0] + b, b + [0]))]
+
+
+def signed_total_two_lists(n: int, a: int) -> Fraction:
+    """signed_moment_total's Horner recurrence with a new list per product: each step forms
+    R_(j+1) and scale (2x-1) V_j by _times_linear, keeps n+1 coefficients and adds the two."""
+    poly, rising = [1], [1]
+    for j in range(a):
+        step, scale = -(a - j) * 2 * n, (j + 1) * (n + j + 1)
+        rising = _times_linear(rising, step, step * j)[: n + 1]  # zip cuts poly to match
+        poly = [u + v for u, v in zip(_times_linear(poly, 2 * scale, -scale), rising)]
+    total, power = 0, n + 1
+    for m, c in enumerate(poly):
+        total += c * (power // (m + 1))
+        power *= n - m
+    return Fraction(total - poly[0], math.factorial(a) * _moment_denominator(n, a))
+
+
 def variance_bias_total_quadratic(n: int) -> Fraction:
     """a=2 oracle: E(X_i - t_i)^2 = Var X_i + (E X_i - t_i)^2 with the known
     Beta(i, n-i+1) mean i/(n+1) and variance i(n-i+1)/((n+1)^2(n+2))."""
@@ -270,6 +291,38 @@ def test_signed_moment_total_matches_the_per_sensor_route(a):
     for n in range(1, 401):
         q = MomentQuery(n, a)
         assert signed_moment_total(q) == total_moment_exact(q).total, n
+
+
+_TWO_LIST_NS = (1, 2, 3, 5, 8, 13, 40, 2000, 10**6, 10**12)
+
+
+def test_signed_moment_total_is_the_two_list_recurrence():
+    # a > n exercises the truncation at n+1 coefficients; odd a gives 0
+    for n in _TWO_LIST_NS:
+        for a in range(1, 41):
+            assert signed_moment_total(MomentQuery(n, a)) == signed_total_two_lists(n, a), (n, a)
+
+
+def _assert_float_is_the_rounded_two_list_total(n: int, a: int) -> None:
+    want = float(signed_total_two_lists(n, a))
+    if not sys.float_info.min <= want < math.inf:
+        with pytest.raises(ValueError, match="outside the range of normal floats"):
+            total_moment_float(MomentQuery(n, a))
+    else:
+        assert total_moment_float(MomentQuery(n, a)).total == want, (n, a)
+
+
+def test_even_float_total_is_the_rounded_two_list_total():
+    for n in _TWO_LIST_NS:
+        for a in range(2, 41, 2):
+            _assert_float_is_the_rounded_two_list_total(n, a)
+    rng = random.Random(33)
+    for _ in range(200):
+        _assert_float_is_the_rounded_two_list_total(rng.randint(1, 10**12),
+                                                    2 * rng.randint(1, 20))
+    # no pair above is refused; these two round to a subnormal float and to 0.0
+    for a in (58, 80):
+        _assert_float_is_the_rounded_two_list_total(10**12, a)
 
 
 def test_signed_moment_total_matches_the_integer_recurrence_at_large_n():
