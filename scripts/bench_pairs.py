@@ -10,7 +10,8 @@ each tree with seed FIRST_SEED + p; even pairs run the parent first, odd pairs
 the change first.  Every __pycache__ under a tree is removed before each of its
 runs, so both sides start from source.  The result is written to
 BENCH_<label>.json in the current directory: for each end-to-end metric the
-median and the inclusive quartiles of each side, the number of pairs in which
+runs, median and inclusive quartiles of each side to 4 significant figures
+(the verdicts use the unrounded values), the number of pairs in which
 the change was lower, and the failed and attempted operation counts.  Each
 metric also gets its bound from the change tree's BENCHMARK.json (a fraction of
 the parent's median), the relative change between the medians and a verdict:
@@ -56,9 +57,14 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def _shown(value: float) -> float:
+    """value to 4 significant figures, as the report writes it."""
+    return float(f"{value:.4g}")
+
+
 def _spread(values: list[float]) -> dict[str, float]:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"q1": round(q1, 4), "median": round(median, 4), "q3": round(q3, 4)}
+    return {"q1": _shown(q1), "median": _shown(median), "q3": _shown(q3)}
 
 
 def _verdict(parent: list[float], change: list[float], bound: float) -> dict:
@@ -90,7 +96,7 @@ def _summary(runs: dict[str, list[dict]], seeds: list[int], bounds: dict[str, fl
         out[metric].update(_verdict(values["parent"], values["change"], bounds[metric]))
         if metric == claim:
             out[metric]["claim_met"] = _claim_met(values["parent"], values["change"])
-        out[metric]["runs"] = {side: [round(v, 4) for v in values[side]] for side in SIDES}
+        out[metric]["runs"] = {side: [_shown(v) for v in values[side]] for side in SIDES}
     out["failed"] = {side: sum(r["failed"] for r in runs[side]) for side in SIDES}
     out["failed"].update({f"attempted_{side}": sum(r["attempted"] for r in runs[side])
                           for side in SIDES})
@@ -143,7 +149,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{failed_run['tree']}: {name} seed {failed_run['seed']} exited "
                   f"{failed_run['exit_code']}: {failed_run['stderr_tail']}", file=sys.stderr)
             workloads[name] = {"unfinished": True, "seeds": seeds, "runs": {
-                side: [{m: round(r["metrics"][m]["value"], 4) for m in METRICS}
+                side: [{m: _shown(r["metrics"][m]["value"]) for m in METRICS}
                        for r in runs[side]] for side in SIDES}}
             break
         workloads[name] = _summary(runs, seeds, bounds,

@@ -4,7 +4,8 @@
 For each odd order a and each n of the grid, the table gives the relative residual
 r = S/E - 1 of the exact total S against the four-term expansion E
 (anchor_moments._expansion: the bracket rows b_1..b_4 of _BRACKET and the exact boundary
-constants of _BOUNDARY, to 40 digits), and r n^p, where n^-p is the relative power of the
+constants of _BOUNDARY, as the exact integer terms of _terms, with sqrt(2 pi n) and the sum
+to 40 digits), and r n^p, where n^-p is the relative power of the
 first omitted term, taken from _expansion.ENVELOPE.  Below the table: the coefficient r n^p
 at the largest n and the N0 it implies (the smallest n with |r n^p| n^-p <= 2^-54); the
 committed envelope K and N0 (_expansion.ENVELOPE, moments._EXPANSION_N0); and whether
@@ -21,7 +22,7 @@ import argparse
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
-from anchor_moments._expansion import ENVELOPE, expansion_value
+from anchor_moments._expansion import _K, _TWO_PI_4K, ENVELOPE, _terms
 from anchor_moments.moments import _EXPANSION_N0, MomentQuery, _exact_total
 
 
@@ -52,9 +53,11 @@ def main() -> None:
         print(f"  {'n':>6}  {'r = S/E - 1':>14}  {'r n^p':>11}")
         holds = True
         for n in grid:
-            exact = totals[n, a]
+            exact, (num, den, b_num, b_den) = totals[n, a], _terms(n, a)
             with localcontext(Context(prec=40)):
-                r = Decimal(exact.numerator) / exact.denominator / expansion_value(n, a) - 1
+                root = (Decimal(_TWO_PI_4K) * n).sqrt() / 2**_K  # _TWO_PI_4K: 77 digits
+                expansion = root * num / den + Decimal(b_num) / b_den
+                r = Decimal(exact.numerator) / exact.denominator / expansion - 1
                 scaled = r * Decimal(n) ** Decimal(float(p))
             holds &= n < 400 or abs(scaled) <= k
             print(f"  {n:>6}  {float(r):>14.6e}  {float(scaled):>11.7f}")

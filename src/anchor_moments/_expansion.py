@@ -16,10 +16,8 @@ tests/test_moments.py: test_bracket_table_is_the_even_closed_form regenerates _B
 from signed_moment_total, and test_boundary_constants_fit_exact_totals fits _BOUNDARY to
 exact odd totals.
 
-expansion_value works on integers and caches nothing: the bracket rows over one common
-denominator, summed in one Horner pass in n, and the boundary terms over their lcm in a
-second; each quotient is reduced by one gcd, and only sqrt(2 pi n) and the final sum are
-formed in 40-digit decimal.
+expansion_value works on integers and caches nothing (_terms, then one integer square root
+and one correctly rounded int true division).
 
 ENVELOPE bounds what is left out, relative to the total.  moments serves odd a <= 13 from
 the expansion where that bound is below 2^-54, and scripts/expansion_envelope.py measures
@@ -29,7 +27,6 @@ it again from exact totals.
 from __future__ import annotations
 
 import math
-from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 from .special_functions import HalfIntValue
@@ -64,7 +61,10 @@ _BRACKET = (
     (7054387200, (3147120, 3252288, -2480320, 46560, 887640, -148848, -20880, 2520, 175)),
 )
 
-_SQRT_2PI = Decimal("2.506628274631000502415765284811045253006987")
+# _TWO_PI_4K = floor(2 pi 4^_K), so isqrt(_TWO_PI_4K n) is sqrt(2 pi n) 2^_K within
+# 2^-(_K+1) relative for n >= 1.
+_K = 128
+_TWO_PI_4K = 727543153783532648560469885555459725306786754656784859917544302235877788932370
 
 # The bracket over one denominator, _DEN, which every row's denominator divides.
 _DEN = _BRACKET[-1][0]
@@ -99,27 +99,29 @@ def _horner(coefficients: tuple, x: int | Fraction) -> int | Fraction:
     return total
 
 
-def _reduced(num: int, den: int) -> tuple[int, int]:
-    """num/den for den > 0, in lowest terms by one gcd, as Fraction(num, den) holds it."""
-    g = math.gcd(num, den)
-    return num // g, den // g
-
-
-def expansion_value(n: int, a: int) -> Decimal:
-    """The expansion at odd a <= 13, to 40 digits, in O(a) work.
+def _terms(n: int, a: int) -> tuple[int, int, int, int]:
+    """The expansion at odd a <= 13 as sqrt(2 pi n) num/den + b_num/b_den, not reduced.
 
     C(a) n^(1-a/2) = r sqrt(2 pi n) / n^((a-1)/2) with r rational (_rational_part).  The
-    bracket times r n^-((a-1)/2) is one integer quotient: the rows over _DEN summed in one
-    Horner pass in n.  The boundary part is another, its terms over their lcm.  Each is
-    brought to lowest terms; sqrt(2 pi n) and the sum are formed in 40-digit decimal.
+    bracket times r n^-((a-1)/2) is num/den, the rows over _DEN summed in one Horner pass
+    in n; the boundary part is b_num/b_den, its terms over their lcm.
     """
     p, q = _rational_part(a)
     acc = _DEN
     for row in _SCALED_BRACKET:
         acc = acc * n + _horner(row, a)
-    num, den = _reduced(p * acc, q * _DEN * n ** (len(_BRACKET) + (a - 1) // 2))
     lcm, terms = _BOUNDARY.get(a, (1, ()))
-    b_num, b_den = _reduced(_horner(terms[::-1], n), lcm * n ** (a + len(terms) - 1))
-    with localcontext(Context(prec=40)):
-        root = _SQRT_2PI * Decimal(n).sqrt()
-        return root * Decimal(num) / den + Decimal(b_num) / b_den
+    return (p * acc, q * _DEN * n ** (len(_BRACKET) + (a - 1) // 2),
+            _horner(terms[::-1], n), lcm * n ** (a + len(terms) - 1))
+
+
+def expansion_value(n: int, a: int) -> float:
+    """The expansion at odd a <= 13 as a float, in O(a) work; inf past the largest float.
+    With sqrt(2 pi n) 2^_K truncated to an integer it is one integer quotient, which int
+    true division rounds once, correctly, subnormal and 0 included."""
+    num, den, b_num, b_den = _terms(n, a)
+    root = math.isqrt(_TWO_PI_4K * n)
+    try:
+        return (root * num * b_den + (b_num * den << _K)) / (den * b_den << _K)
+    except OverflowError:
+        return math.inf

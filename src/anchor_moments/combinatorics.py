@@ -43,17 +43,16 @@ def binomial(n: int, k: int) -> int:
 
 
 def rising_factorial(x: Rational, k: int) -> Rational:
-    """x(x+1)...(x+k-1); the empty product (k = 0) is 1.  For a Fraction p/q and k >= 1 it
-    is the integer product p(p+q)...(p+(k-1)q) over q^k, reduced once."""
+    """x(x+1)...(x+k-1); the empty product (k = 0) is 1.  An int is one integer product; a
+    Fraction p/q with k >= 1 is p(p+q)...(p+(k-1)q) over q^k, reduced once."""
     if k < 0:
         raise ValueError("rising_factorial requires k >= 0")
+    if isinstance(x, int):
+        return math.prod(range(x, x + k))
     if isinstance(x, Fraction) and k:
         p, q = x.numerator, x.denominator
         return Fraction(math.prod(range(p, p + k * q, q)), q**k)
-    out: Rational = 1
-    for u in range(k):
-        out *= x + u
-    return out
+    return math.prod(x + u for u in range(k))
 
 
 def falling_factorial(x: Rational, k: int) -> Rational:
@@ -64,10 +63,7 @@ def falling_factorial(x: Rational, k: int) -> Rational:
     if isinstance(x, Fraction) and k:
         p, q = x.numerator, x.denominator
         return Fraction(math.prod(range(p, p - k * q, -q)), q**k)
-    out: Rational = 1
-    for u in range(k):
-        out *= x - u
-    return out
+    return math.prod(x - u for u in range(k))
 
 
 # --- triangle tables -------------------------------------------------------

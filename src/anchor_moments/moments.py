@@ -415,7 +415,7 @@ def total_moment_float(q: MomentQuery) -> FloatMomentBreakdown:
         total = num / den  # correctly rounded, as float(Fraction(num, den)) is
     elif q.n >= _EXPANSION_N0.get(q.a, math.inf):
         from ._expansion import expansion_value
-        total = float(expansion_value(q.n, q.a))
+        total = expansion_value(q.n, q.a)
     else:
         _size_guard(q.n, _FLOAT_N_GUARD, "float path supports n <= {limit} for odd a >= 15")
         from ._float_route import odd_total  # numpy, on first use

@@ -535,7 +535,7 @@ print(json.dumps(["numpy" in sys.modules, slowest]))
 
 
 def test_odd_float_totals_past_n0_load_no_numpy_and_take_under_a_millisecond():
-    # odd a <= 13 at 10^5, 10^9 and 10^12 take the expansion: O(a) exact and decimal steps
+    # odd a <= 13 at 10^5, 10^9 and 10^12 take the expansion: O(a) integer steps
     numpy_loaded, slowest = _fresh_interpreter(_EXPANSION_TIMES)
     assert not numpy_loaded
     assert slowest < 1e-3

@@ -579,7 +579,8 @@ def test_expansion_matches_exact_totals_within_its_envelope(a):
     for n in (400, 1000):
         exact = total_moment_exact(MomentQuery(n, a)).total
         with localcontext(Context(prec=40)):
-            r = abs(Decimal(exact.numerator) / exact.denominator / expansion_value(n, a) - 1)
+            expansion = _decimal_expansion(n, *_exact_terms(n, a))
+            r = abs(Decimal(exact.numerator) / exact.denominator / expansion - 1)
         assert r <= k * Fraction(n) ** -p, (n, r)
 
 
@@ -714,28 +715,44 @@ def test_leading_constant_closed_form_is_the_gamma_route():
         assert leading_constant(a) == _gamma_route_constant(a), a
 
 
-def _expansion_oracle(n: int, a: int) -> Decimal:
-    """The expansion in Fractions: C(a) by the Gamma route, the bracket rows b_1..b_4 as
-    Fractions in 1/n and the boundary terms, then the same 40-digit decimal steps."""
+def _expansion_oracle(n: int, a: int) -> tuple[Fraction, Fraction]:
+    """The expansion in Fractions, as (scaled bracket, boundary part): C(a) by the Gamma
+    route over sqrt(2 pi), the bracket rows b_1..b_4 as Fractions in 1/n, and the boundary
+    terms."""
     r = _gamma_route_constant(a).rational
     bracket = (Fraction(1),) + tuple(Fraction(_horner(row, a), den)
                                      for den, row in _expansion._BRACKET)
     x = Fraction(1, n)
-    scaled = r * _horner(bracket, x) * x ** ((a - 1) // 2)
-    boundary = x**a * _horner(_boundary_terms(a), x)
+    return r * _horner(bracket, x) * x ** ((a - 1) // 2), x**a * _horner(_boundary_terms(a), x)
+
+
+def _exact_terms(n: int, a: int) -> tuple[Fraction, Fraction]:
+    """_expansion._terms as (scaled bracket, boundary part), the oracle's form."""
+    num, den, b_num, b_den = _expansion._terms(n, a)
+    return Fraction(num, den), Fraction(b_num, b_den)
+
+
+def _decimal_expansion(n: int, scaled: Fraction, boundary: Fraction) -> Decimal:
+    """sqrt(2 pi n) scaled + boundary, in 40-digit decimal."""
     with localcontext(Context(prec=40)):
-        root = _expansion._SQRT_2PI * Decimal(n).sqrt()
-        return (root * Decimal(scaled.numerator) / scaled.denominator
+        return ((2 * _PI * n).sqrt() * scaled.numerator / scaled.denominator
                 + Decimal(boundary.numerator) / boundary.denominator)
+
+
+def test_two_pi_constant_is_the_floor_of_2_pi_4_to_the_k():
+    assert _expansion._TWO_PI_4K == math.floor(2 * Fraction(_PI) * 4**_expansion._K)
 
 
 @pytest.mark.parametrize("a", range(1, 14, 2))
 def test_expansion_value_is_its_fraction_oracle(a):
-    # the integer evaluator forms the same reduced quotients, so the same 40-digit decimal
+    # the integer terms are the oracle's exact rationals, and the float is the oracle's
+    # 40-digit value rounded (every n here is below the overflow past 10^617 at a = 1)
     n0, rng = _EXPANSION_N0[a], random.Random(a)
     grid = [n0, n0 + 1, 2000, 10**5, 10**6, 10**7, 10**12, 10**300, 10**616]
     for n in grid + [rng.randint(1, 10**9) for _ in range(200)]:
-        assert expansion_value(n, a) == _expansion_oracle(n, a), n
+        oracle = _expansion_oracle(n, a)
+        assert _exact_terms(n, a) == oracle, n
+        assert expansion_value(n, a) == float(_decimal_expansion(n, *oracle)), n
 
 
 def test_remainder_after_the_leading_term_is_c_b1_n_to_the_minus_a_half():
@@ -761,6 +778,7 @@ def test_remainder_after_the_leading_term_is_c_b1_n_to_the_minus_a_half():
 
 def test_every_route_refuses_totals_outside_the_normal_floats():
     assert total_moment_float(MomentQuery(10**80, 9)).total >= sys.float_info.min
+    assert total_moment_float(MomentQuery(10**616, 1)).total == 3.133285343288751e+307
     for n, a in (
         (10**620, 1), (10**90, 9),  # the expansion: inf, and 2.3e-316
         (2000, 401), (2000, 351),  # the float route: 0.0, and 1.0e-313

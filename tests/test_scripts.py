@@ -145,3 +145,17 @@ def test_bench_pairs_gives_each_metric_a_verdict_and_judges_the_claim(tmp_path):
         assert done["peak_rss_mb"]["relative_change"] == round(120 / 100.45 - 1, 4)
         assert [m for m in _BOUNDS if "claim_met" in done[m]] == [claim]
         assert done[claim]["claim_met"] is met
+
+
+def test_bench_pairs_keeps_the_significant_digits_of_a_small_metric(tmp_path):
+    # a 0.0003 s metric keeps its spread: rounding to 4 decimals would read 0.0003 throughout
+    parent = dict(_SEED_OVER_100, work_s="0.000291 + 0.000002 * (s % 2)")
+    change = dict(_SEED_OVER_100, work_s="0.000202")
+    proc, _, report = _bench_pairs(
+        tmp_path, {"parent": (False, parent), "change": (False, change)},
+        "--workload", "fake:4:100")
+    assert proc.returncode == 0, proc.stderr
+    work = report["workloads"]["fake"]["work_s"]
+    assert work["runs"] == {"parent": [0.000291, 0.000293] * 2, "change": [0.000202] * 4}
+    assert work["parent"] == {"q1": 0.000291, "median": 0.000292, "q3": 0.000293}
+    assert work["change"] == {"q1": 0.000202, "median": 0.000202, "q3": 0.000202}
