@@ -44,8 +44,10 @@ COMMANDS = (
     # even totals in closed form past the size guard
     "exact --n 1000000000 --a 4",
     "exact --n 2001 --a 2",
-    "exact --n 3 --a 20",  # a > n: the closed form keeps n+1 coefficients
+    "exact --n 3 --a 20",  # n < a: the sensors' recurrences, summed
     "exact --n 2000 --a 8",
+    "exact --n 2000 --a 400",  # a <= n at a large order: the power sums
+    "exact --n 100 --a 1000",  # n < a at a large order: the sensors' recurrences
     "asymptotic --theorem 1 --a 8 --grid 2000,100000,1000000",  # even float totals
     "lemma --id 1 --a 9 --grid 1,2,3,100",  # odd a through the closed form: 0
     "simulate --n 2001 --a 2 --trials 2000 --seed 1",

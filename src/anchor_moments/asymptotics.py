@@ -74,8 +74,10 @@ def vanishing_signed_sum(n: int, a: int) -> Fraction:
     """Diagnostic sum 1 (odd a): the reduced total of the signed parts.
 
     sum(j=0..a) sum(i=1..n) n^(j-a) C(a,j)(-1)^j (i-1/2)^(a-j)
-    * i^rising(j) / (n+1)^rising(j) = sum_i E(t_i - X_i)^a, exact: the closed
-    form moments.signed_moment_total.  Equals minus the sum of the
+    * i^rising(j) / (n+1)^rising(j) = sum_i E(t_i - X_i)^a, exact:
+    moments.signed_moment_total, which forms this double sum for a <= n, every
+    inner sum over i from one list of power sums, and sums the sensors' Pearson
+    recurrences for n < a.  Equals minus the sum of the
     per-sensor signed parts, which is in fact exactly zero for every odd a:
     the reflection X_i <-> 1 - X_(n+1-i) maps t_i to 1 - t_(n+1-i) and flips
     the sign of the signed integrand, so terms cancel pairwise.  The

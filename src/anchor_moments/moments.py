@@ -39,11 +39,12 @@ g = i C(n,i) P^i Q^(n-i+1) are kept in _tail_terms, an lru_cache of 1024 sensors
 holds 0.25 MiB at n = 400 (200 sensors) and about 6.3 MiB at n = 2000 (1000 sensors).
 
 For even a the total is sum_i E(t_i - X_i)^a, a finite sum of Beta moments, and
-signed_moment_total gives it in closed form, exact at any n in O(a min(a, n))
-integer steps.  The exact totals and the float totals of even orders use it, the float
-ones by one correctly rounded division of its unreduced numerator and denominator; the
-per-sensor route above stays its independent check, and the float route serves
-odd orders only.
+signed_moment_total gives it exactly at any n, over (2n)^a (n+1)^rising(a): for a <= n
+from the binomial expansion's power sums sum_i i^rising(k) (2i-1)^(a-k), all of them from
+one list of a+1 integers in O(a^2) steps, and for n < a from the recurrence above, summed
+over the sensors i > n/2 in O(n a) steps.  The exact totals and the float totals of even
+orders use it, the float ones by one correctly rounded division of its unreduced numerator
+and denominator; the float route serves odd orders only.
 
 For odd a <= 13 and n >= _EXPANSION_N0[a] (750 to 2881), the float total is the
 four-term expansion of _expansion instead,
@@ -62,6 +63,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
+from ._expansion import expansion_value
 from .combinatorics import rising_factorial
 from .special_functions import _beta_tail
 
@@ -343,54 +345,54 @@ def total_moment_exact(q: MomentQuery) -> MomentBreakdown:
     return MomentBreakdown(per_sensor=tuple(lower + upper), total=_total(q, rows, dens))
 
 
-def _signed_total_terms(q: MomentQuery) -> tuple[int, int]:
-    """signed_moment_total(q) as an unreduced (numerator, denominator) pair, the
-    denominator a! (2n)^a (n+1)^rising(a).
+def _power_sum_terms(n: int, a: int) -> tuple[int, int]:
+    """sum_i E(t_i - X_i)^a as (numerator, _moment_denominator(n, a)), by the binomial
+    expansion.
 
-    With E X_i^j = i^rising(j) / (n+1)^rising(j) and t_i = (2i-1)/(2n), the binomial
-    expansion of (t_i - X_i)^a over that denominator has the numerator sum_i V_a(i), where
-    V_j(x) = sum_(k<=j) (j!/k!) a^falling(k) (-1)^k (2x-1)^(j-k) (2n)^k x^rising(k)
-    (n+k+1)^rising(j-k).  Horner's rule builds it, R_(j+1) = -(a-j) 2n (x+j) R_j and
-    V_(j+1) = (j+1) (n+j+1) (2x-1) V_j + R_(j+1) from V_0 = R_0 = 1, in the
-    falling-factorial basis, where x x^falling(m) = x^falling(m+1) + m x^falling(m) (Graham,
-    Knuth and Patashnik, Concrete Mathematics, (6.10)).  With step = -(a-j) 2n and
-    scale = (j+1)(n+j+1), coefficient m of R_(j+1) is step (R_j[m-1] + (m+j) R_j[m]) and
-    that of V_(j+1) is scale (2 V_j[m-1] + (2m-1) V_j[m]) + R_(j+1)[m], so one pass over m
-    updates both lists in place, each multiplier kept as one small integer.  The power sums
-    sum(i=0..n) i^falling(m) = (n+1)^falling(m+1) / (m+1) sum it over i; the term i = 0 is
-    V_a's constant coefficient.  Falling powers past n vanish at i = 0..n and no step moves
-    a coefficient to a lower power, so only the powers up to n are kept.  The basis keeps
-    O(min(a, n)) integers, where tables of Stirling numbers to row a would hold O(a^2).
+    With E X_i^k = i^rising(k) / (n+1)^rising(k) and t_i = (2i-1)/(2n), the numerator is
+    sum_k C(a,k) (-2n)^k (n+k+1)^rising(a-k) T_k, T_k = sum_(i=1..n) i^rising(k) (2i-1)^(a-k).
+    Every T_k comes from one list: w_k = sum_i i^rising(k) = n^rising(k+1) / (k+1), then a
+    levels of w_k <- 2 w_(k+1) - (2k+1) w_k, since (2i-1) i^rising(k) = 2 i^rising(k+1) -
+    (2k+1) i^rising(k); after level p the list is one shorter and its last entry is T_(a-p).
+    The sum over k runs along, by Horner's rule in -2n from k = a down: O(a^2) products by
+    small integers, and 2a of two large ones.
     """
-    n, a = q.n, q.a
-    poly, rising = [1], [1]  # V_j and R_j, of degree min(j, n)
-    for j in range(a):
-        step, scale = -(a - j) * 2 * n, (j + 1) * (n + j + 1)
-        if len(poly) <= n:
-            poly.append(0)
-            rising.append(0)
-        twice, r_coef, v_coef = 2 * scale, step * j, -scale  # at m: step (m+j), scale (2m-1)
-        r_low = v_low = 0  # R_j[m-1] and V_j[m-1]
-        for m, r in enumerate(rising):
-            v = poly[m]
-            rising[m] = r_new = step * r_low + r_coef * r
-            poly[m] = twice * v_low + v_coef * v + r_new
-            r_low, v_low = r, v
-            r_coef += step
-            v_coef += twice
-    total, power = 0, n + 1  # power = (n+1)^falling(m+1)
-    for m, c in enumerate(poly):
-        total += c * (power // (m + 1))
-        power *= n - m
-    return total - poly[0], math.factorial(a) * _moment_denominator(n, a)
+    rising, sums = n, [n]  # rising = n^rising(k+1)
+    for k in range(1, a + 1):
+        rising *= n + k
+        sums.append(rising // (k + 1))
+    odd, step = range(1, 2 * a, 2), -2 * n
+    total, tail, binom = sums[a], 1, 1  # tail = (n+k+1)^rising(a-k), binom = C(a,k)
+    for k in range(a - 1, -1, -1):
+        sums = [(hi << 1) - m * lo for m, lo, hi in zip(odd, sums, sums[1:])]
+        tail *= n + k + 1
+        binom = binom * (k + 1) // (a - k)
+        total = total * step + binom * tail * sums[-1]
+    return total, (2 * n) ** a * tail
+
+
+def _sensor_sum_terms(n: int, a: int) -> tuple[int, int]:
+    """_power_sum_terms(n, a) from the sensors i > n/2: each one's E(t_i - X_i)^a over
+    _moment_denominator(n, a) (_scaled_left_moment), plus its mirror image n+1-i, which is
+    (-1)^a times it; the middle sensor of odd n counts once.  O(n a) products."""
+    pair = 1 + (-1) ** a  # sensor i and its mirror image
+    return (sum(_scaled_left_moment(n, a, i, 0, 1) * (1 if 2 * i - 1 == n else pair)
+                for i in range(n // 2 + 1, n + 1)), _moment_denominator(n, a))
+
+
+def _signed_total_terms(q: MomentQuery) -> tuple[int, int]:
+    """signed_moment_total(q) as an unreduced (numerator, denominator) pair, the denominator
+    _moment_denominator(n, a): the sum over sensors for n < a, else the power sums."""
+    return (_sensor_sum_terms if q.n < q.a else _power_sum_terms)(q.n, q.a)
 
 
 def signed_moment_total(q: MomentQuery) -> Fraction:
-    """sum_i E(t_i - X_i)^a, exact at any n, in O(a min(a, n)) products by small integers.
+    """sum_i E(t_i - X_i)^a, exact at any n, in O(a min(a, n)) integer steps.
 
     For even a it is the total cost; for odd a it is 0, the reflection pairing the sensors.
-    The numerator over a! (2n)^a (n+1)^rising(a) is one integer pass per order step
-    (_signed_total_terms).
+    Its numerator over (2n)^a (n+1)^rising(a) comes from the binomial expansion's power sums
+    for a <= n (_power_sum_terms) and from the n/2 sensors' recurrences for n < a
+    (_sensor_sum_terms), whichever takes fewer steps.
     """
     return Fraction(*_signed_total_terms(q))
 
@@ -414,7 +416,6 @@ def total_moment_float(q: MomentQuery) -> FloatMomentBreakdown:
         num, den = _signed_total_terms(q)
         total = num / den  # correctly rounded, as float(Fraction(num, den)) is
     elif q.n >= _EXPANSION_N0.get(q.a, math.inf):
-        from ._expansion import expansion_value
         total = expansion_value(q.n, q.a)
     else:
         _size_guard(q.n, _FLOAT_N_GUARD, "float path supports n <= {limit} for odd a >= 15")

@@ -442,7 +442,8 @@ import contextlib, io, json, sys
 from anchor_moments.cli import build_parser, main
 
 def loaded():
-    package = ("moments", "asymptotics", "identities", "special_functions", "combinatorics")
+    package = ("moments", "asymptotics", "identities", "special_functions", "combinatorics",
+               "_expansion")
     names = [*(f"anchor_moments.{m}" for m in package), "fractions", "decimal", "dataclasses",
              "inspect"]
     return [m for m in names if m in sys.modules]

@@ -98,8 +98,11 @@ def _times_linear(b: list[int], s: int, r: int) -> list[int]:
 
 
 def signed_total_two_lists(n: int, a: int) -> Fraction:
-    """signed_moment_total's Horner recurrence with a new list per product: each step forms
-    R_(j+1) and scale (2x-1) V_j by _times_linear, keeps n+1 coefficients and adds the two."""
+    """sum_i E(t_i - X_i)^a as one polynomial in i, summed over i = 0..n and less its i = 0
+    term: Horner's rule in the falling-factorial basis, R_(j+1) = -(a-j) 2n (x+j) R_j and
+    V_(j+1) = (j+1)(n+j+1)(2x-1) V_j + R_(j+1) from V_0 = R_0 = 1, each step by
+    _times_linear, keeping the n+1 coefficients that sum(i=0..n) i^falling(m) =
+    (n+1)^falling(m+1) / (m+1) does not zero, over a! (2n)^a (n+1)^rising(a)."""
     poly, rising = [1], [1]
     for j in range(a):
         step, scale = -(a - j) * 2 * n, (j + 1) * (n + j + 1)
@@ -297,10 +300,22 @@ _TWO_LIST_NS = (1, 2, 3, 5, 8, 13, 40, 2000, 10**6, 10**12)
 
 
 def test_signed_moment_total_is_the_two_list_recurrence():
-    # a > n exercises the truncation at n+1 coefficients; odd a gives 0
+    # a > n takes the sum over sensors, a <= n the power sums; odd a gives 0
     for n in _TWO_LIST_NS:
         for a in range(1, 41):
             assert signed_moment_total(MomentQuery(n, a)) == signed_total_two_lists(n, a), (n, a)
+
+
+def test_each_signed_total_form_holds_on_both_sides_of_n_equal_a():
+    # signed_moment_total takes _sensor_sum_terms for n < a and _power_sum_terms otherwise;
+    # each is called here on both sides, odd a (total 0) included
+    for n in range(1, 31):
+        for a in range(1, 41):
+            want = signed_total_two_lists(n, a)
+            for form in (moments._power_sum_terms, moments._sensor_sum_terms):
+                num, den = form(n, a)
+                assert den == _moment_denominator(n, a), (form.__name__, n, a)
+                assert Fraction(num, den) == want, (form.__name__, n, a)
 
 
 def _assert_float_is_the_rounded_two_list_total(n: int, a: int) -> None:
