@@ -49,6 +49,9 @@ COMMANDS = (
     "exact --n 2000 --a 400",  # a <= n at a large order: the power sums
     "exact --n 100 --a 1000",  # n < a at a large order: the sensors' recurrences
     "asymptotic --theorem 1 --a 8 --grid 2000,100000,1000000",  # even float totals
+    # the other even float orders of the benchmark, each first at an n < a (sensor sum)
+    "asymptotic --theorem 1 --a 4 --grid 3,2000,100000",
+    "asymptotic --theorem 1 --a 6 --grid 5,2000,100000",
     "lemma --id 1 --a 9 --grid 1,2,3,100",  # odd a through the closed form: 0
     "simulate --n 2001 --a 2 --trials 2000 --seed 1",
     # an odd order past the size guard: no exact column

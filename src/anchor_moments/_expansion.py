@@ -16,8 +16,9 @@ tests/test_moments.py: test_bracket_table_is_the_even_closed_form regenerates _B
 from signed_moment_total, and test_boundary_constants_fit_exact_totals fits _BOUNDARY to
 exact odd totals.
 
-expansion_value works on integers and caches nothing (_terms, then one integer square root
-and one correctly rounded int true division).
+expansion_value works on integers and caches nothing: what depends on a alone is built once
+at import, as a table of constants (_ORDERS); per call it runs _terms, then one integer
+square root and one correctly rounded int true division.
 
 ENVELOPE bounds what is left out, relative to the total.  moments serves odd a <= 13 from
 the expansion where that bound is below 2^-54, and scripts/expansion_envelope.py measures
@@ -68,7 +69,6 @@ _TWO_PI_4K = 7275431537835326485604698855554597253067867546567848599175443022358
 
 # The bracket over one denominator, _DEN, which every row's denominator divides.
 _DEN = _BRACKET[-1][0]
-_SCALED_BRACKET = tuple(tuple(c * (_DEN // den) for c in row) for den, row in _BRACKET)
 
 
 def _rational_part(a: int) -> tuple[int, int]:
@@ -99,20 +99,31 @@ def _horner(coefficients: tuple, x: int | Fraction) -> int | Fraction:
     return total
 
 
+def _order_terms(a: int) -> tuple[tuple[int, ...], int, int, tuple[int, ...], int, int]:
+    """What _terms needs of odd order a, from _BRACKET, _BOUNDARY and (p, q) = _rational_part(a):
+    the bracket at a times p over _DEN, as coefficients of n^0..n^4, its denominator q _DEN and
+    the power of n that divides it; the boundary terms as coefficients of n^0, n^1, ..., their
+    lcm and the power of n."""
+    p, q = _rational_part(a)
+    lcm, terms = _BOUNDARY.get(a, (1, ()))
+    bracket = tuple(p * (_DEN // den) * _horner(row, a) for den, row in reversed(_BRACKET))
+    return ((*bracket, p * _DEN), q * _DEN, len(_BRACKET) + (a - 1) // 2,
+            terms[::-1], lcm, a + len(terms) - 1)
+
+
+# _order_terms of every order the expansion serves: constants built once at import, no cache.
+_ORDERS = {a: _order_terms(a) for a in ENVELOPE}
+
+
 def _terms(n: int, a: int) -> tuple[int, int, int, int]:
     """The expansion at odd a <= 13 as sqrt(2 pi n) num/den + b_num/b_den, not reduced.
 
     C(a) n^(1-a/2) = r sqrt(2 pi n) / n^((a-1)/2) with r rational (_rational_part).  The
-    bracket times r n^-((a-1)/2) is num/den, the rows over _DEN summed in one Horner pass
-    in n; the boundary part is b_num/b_den, its terms over their lcm.
+    bracket times r n^-((a-1)/2) is num/den, and the boundary part is b_num/b_den: each
+    numerator is one Horner pass in n over the order's stored integers (_ORDERS).
     """
-    p, q = _rational_part(a)
-    acc = _DEN
-    for row in _SCALED_BRACKET:
-        acc = acc * n + _horner(row, a)
-    lcm, terms = _BOUNDARY.get(a, (1, ()))
-    return (p * acc, q * _DEN * n ** (len(_BRACKET) + (a - 1) // 2),
-            _horner(terms[::-1], n), lcm * n ** (a + len(terms) - 1))
+    bracket, den, power, boundary, lcm, b_power = _ORDERS[a]
+    return _horner(bracket, n), den * n**power, _horner(boundary, n), lcm * n**b_power
 
 
 def expansion_value(n: int, a: int) -> float:

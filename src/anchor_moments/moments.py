@@ -41,17 +41,19 @@ holds 0.25 MiB at n = 400 (200 sensors) and about 6.3 MiB at n = 2000 (1000 sens
 For even a the total is sum_i E(t_i - X_i)^a, a finite sum of Beta moments, and
 signed_moment_total gives it exactly at any n, over (2n)^a (n+1)^rising(a): for a <= n
 from the binomial expansion's power sums sum_i i^rising(k) (2i-1)^(a-k), all of them from
-one list of a+1 integers in O(a^2) steps, and for n < a from the recurrence above, summed
-over the sensors i > n/2 in O(n a) steps.  The exact totals and the float totals of even
-orders use it, the float ones by one correctly rounded division of its unreduced numerator
-and denominator; the float route serves odd orders only.
+one list of a+1 integers updated in place in O(a^2) steps, and for n < a from the
+recurrence above, summed over the sensors i > n/2 in O(n a) steps.  The exact totals and
+the float totals of even orders use it, the float ones by one correctly rounded division
+of its unreduced numerator and denominator; the float route serves odd orders only.
 
 For odd a <= 13 and n >= _EXPANSION_N0[a] (750 to 2881), the float total is the
 four-term expansion of _expansion instead,
 C(a) n^(1-a/2) [1 + b_1/n + ... + b_4/n^4] with each b_k a polynomial in a (_BRACKET), plus
-a boundary part from n^-a on: O(a) work and no numpy.  What it leaves out is below 2^-54
-relative there by an envelope measured against exact totals, and it agrees with the float
-route to one ulp at N0(a), 2 N0(a) and _FLOAT_N_GUARD.  The float route serves the rest:
+a boundary part from n^-a on.  Its integers that depend on a alone are built once, at
+import (_expansion._ORDERS), so a total does only the work that depends on n: O(a) and no
+numpy.  What it leaves out is below 2^-54 relative there by an envelope measured against
+exact totals, and it agrees with the float route to one ulp at N0(a), 2 N0(a) and
+_FLOAT_N_GUARD.  The float route serves the rest:
 n below N0(a), and odd a >= 15 up to _FLOAT_N_GUARD.
 """
 
@@ -351,9 +353,9 @@ def _power_sum_terms(n: int, a: int) -> tuple[int, int]:
 
     With E X_i^k = i^rising(k) / (n+1)^rising(k) and t_i = (2i-1)/(2n), the numerator is
     sum_k C(a,k) (-2n)^k (n+k+1)^rising(a-k) T_k, T_k = sum_(i=1..n) i^rising(k) (2i-1)^(a-k).
-    Every T_k comes from one list: w_k = sum_i i^rising(k) = n^rising(k+1) / (k+1), then a
-    levels of w_k <- 2 w_(k+1) - (2k+1) w_k, since (2i-1) i^rising(k) = 2 i^rising(k+1) -
-    (2k+1) i^rising(k); after level p the list is one shorter and its last entry is T_(a-p).
+    Every T_k comes from one list: w_j = sum_i i^rising(j) = n^rising(j+1) / (j+1), then a
+    levels of w_j <- 2 w_(j+1) - (2j+1) w_j, since (2i-1) i^rising(j) = 2 i^rising(j+1) -
+    (2j+1) i^rising(j); level a-k updates w_0..w_k in place, after which w_k is T_k.
     The sum over k runs along, by Horner's rule in -2n from k = a down: O(a^2) products by
     small integers, and 2a of two large ones.
     """
@@ -361,13 +363,14 @@ def _power_sum_terms(n: int, a: int) -> tuple[int, int]:
     for k in range(1, a + 1):
         rising *= n + k
         sums.append(rising // (k + 1))
-    odd, step = range(1, 2 * a, 2), -2 * n
+    step = -2 * n
     total, tail, binom = sums[a], 1, 1  # tail = (n+k+1)^rising(a-k), binom = C(a,k)
     for k in range(a - 1, -1, -1):
-        sums = [(hi << 1) - m * lo for m, lo, hi in zip(odd, sums, sums[1:])]
+        for j in range(k + 1):  # w_(j+1) is still the last level's when w_j reads it
+            sums[j] = (sums[j + 1] << 1) - (2 * j + 1) * sums[j]
         tail *= n + k + 1
         binom = binom * (k + 1) // (a - k)
-        total = total * step + binom * tail * sums[-1]
+        total = total * step + binom * tail * sums[k]
     return total, (2 * n) ** a * tail
 
 
@@ -424,4 +427,4 @@ def total_moment_float(q: MomentQuery) -> FloatMomentBreakdown:
     if not sys.float_info.min <= total < math.inf:
         raise ValueError(f"the total at n = {q.n}, a = {q.a} is {total:g}, "
                          "outside the range of normal floats")
-    return FloatMomentBreakdown(n=q.n, a=q.a, total=total)
+    return FloatMomentBreakdown(q.n, q.a, total)  # positional: keywords cost 0.2 us a call

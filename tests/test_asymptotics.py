@@ -22,7 +22,7 @@ from anchor_moments.special_functions import HalfIntValue
 
 
 def _rising(x, k):
-    out = Fraction(1)
+    out = 1
     for u in range(k):
         out *= x + u
     return out
@@ -54,12 +54,14 @@ def oracle_diagonal_coefficients(a):
 
 
 def oracle_signed_sum(n, a):
-    total = Fraction(0)
+    # sum_j sum_i n^-a C(a,j) (-1)^j n^j (i - 1/2)^(a-j) i^rising(j) / (n+1)^rising(j), each
+    # term an integer over the common denominator n^a 2^a (n+1)^rising(a)
+    total = 0
     for j in range(a + 1):
         for i in range(1, n + 1):
-            total += (Fraction(1, n**a) * math.comb(a, j) * (-1) ** j * n**j
-                      * (i - Fraction(1, 2)) ** (a - j) * _rising(i, j) / _rising(n + 1, j))
-    return total
+            total += (math.comb(a, j) * (-1) ** j * (2 * n) ** j * (2 * i - 1) ** (a - j)
+                      * _rising(i, j) * _rising(n + 1 + j, a - j))
+    return Fraction(total, n**a * 2**a * _rising(n + 1, a))
 
 
 def _left_tail_integral(n, i):

@@ -71,9 +71,11 @@ def ibeta_literal(z: Fraction, c: int, d: int) -> Fraction:
     return math.comb(c + d - 1, c) * c * acc / q ** (c + d - 1)
 
 
+@functools.lru_cache(maxsize=None)
 def direct_sensor_moment(q: MomentQuery, i: int) -> SensorMoment:
     """Per-sensor moment with one exact I(t_i; i+j, n-i+1) per j, no
-    recurrence and no reflection."""
+    recurrence and no reflection; kept for the session, so that the tests that share a
+    (q, i) compute it once."""
     n, a = q.n, q.a
     t = Fraction(2 * i - 1, 2 * n)
     prefactor = i * math.comb(n, i)

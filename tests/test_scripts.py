@@ -159,3 +159,18 @@ def test_bench_pairs_keeps_the_significant_digits_of_a_small_metric(tmp_path):
     assert work["runs"] == {"parent": [0.000291, 0.000293] * 2, "change": [0.000202] * 4}
     assert work["parent"] == {"q1": 0.000291, "median": 0.000292, "q3": 0.000293}
     assert work["change"] == {"q1": 0.000202, "median": 0.000202, "q3": 0.000202}
+
+
+def test_bench_layers_prints_one_row_per_layer():
+    lines = run_script("bench_layers.py", str(ROOT / "src"), str(ROOT / "src"),
+                       "--pairs", "1", "--repeat", "1")
+    assert lines[:2] == ["| layer | parent best | change best | change / parent, median of 1 |",
+                         "|---|---|---|---|"]
+    rows = [line.split(" | ") for line in lines[2:]]
+    assert [row[0] for row in rows] == [
+        "| expansion_value, odd a <= 13 at n = 2000, 10^5, 10^6",
+        "| _power_sum_terms, a = 2..8 at n = 2000, 10^5", "| _power_sum_terms (2000, 300)",
+        "| _power_sum_terms (10^6, 500)", "| _power_sum_terms (1000, 1000)",
+        "| _sensor_sum_terms (100, 1000)"]
+    assert all(row[1].endswith(" s") and row[2].endswith(" s") for row in rows)
+    assert all(float(row[3].rstrip(" |")) > 0 for row in rows)
